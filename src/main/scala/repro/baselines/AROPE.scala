@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.linalg.{Dense, DistMatrix}
+import repro.linalg.Dense
 import repro.svd.BKSVD
 
 /** AROPE (Zhang et al., KDD'18) — arbitrary-order proximity preserved
@@ -12,7 +12,7 @@ import repro.svd.BKSVD
   * `X = U·diag(√|f(λ)|)`, `Y = U·diag(sign(f(λ))·√|f(λ)|)` so that
   * `X Yᵀ = U f(Λ) Uᵀ ≈ Σ_q w_q A^q`.
   *
-  * Eigenpairs are recovered from our distributed BKSVD: for symmetric A,
+  * Eigenpairs are recovered from our BKSVD: for symmetric A,
   * σ_i = |λ_i| and sign(λ_i) = sign(u_iᵀv_i).
   */
 object AROPE {
@@ -24,8 +24,7 @@ object AROPE {
             eps: Double = 0.2, seed: Long = 20): Emb = {
     val sym = symmetrized(g)
     val svd = BKSVD(sym, k, eps, seed)
-    val u = svd.u.collectLocal()
-    val v = svd.v.collectLocal()
+    val (u, v) = (svd.u, svd.v)
     val n = g.n.toInt
     // Recover signed eigenpairs from the SVD subspace: A·u_j = σ_j·v_j, so
     // the projected operator B = Uᵀ(A U) = diag(σ)·(VᵀU); eigendecompose
@@ -82,14 +81,15 @@ object RandNE {
   def apply(g: Graph, k: Int, weights: Array[Double] = defaultWeights,
             seed: Long = 20): Emb = {
     val sym = AROPE.symmetrized(g)
-    var u = BKSVD.whiten(DistMatrix.gaussian(g.spark, g.n, k, seed))
+    val n = g.n.toInt
+    var u = BKSVD.whiten(BKSVD.gaussian(n, k, seed))
     // whitening may drop columns on degenerate inputs; re-pad deterministically
-    if (u.k < k) u = u.concat(DistMatrix.gaussian(g.spark, g.n, k - u.k, seed + 1))
-    var acc = u.scaled(weights(0))
+    if (u(0).length < k) u = u.zip(BKSVD.gaussian(n, k - u(0).length, seed + 1)).map { case (a, b) => a ++ b }
+    var acc = u.map(Dense.scale(_, weights(0)))
     for (i <- 1 until weights.length) {
-      u = sym.aMultiply(u).checkpointed()
-      acc = acc.plus(u, weights(i)).checkpointed()
+      u = sym.adjacency.mult(u)
+      acc = acc.zip(u).map { case (a, b) => Dense.axpy(a, weights(i), b) }
     }
-    Emb.symmetricOf(acc.collectLocal())
+    Emb.symmetricOf(acc)
   }
 }

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
+import repro.linalg.DenseMat
 import repro.ppr.ExactPPR
 import scala.util.Random
 
@@ -23,7 +24,7 @@ object DNGRLite {
     val r = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
     var cur = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
     for (_ <- 1 to surfSteps) {
-      val stepped = LocalMat.DenseMat(cur).mult(p) // cur · P
+      val stepped = DenseMat(cur).mult(p) // cur · P
       var i = 0
       while (i < n) {
         var j = 0

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.ppr.ForwardPush
+import repro.linalg.Csr
 import scala.util.Random
 
 /** DeepWalk (Perozzi et al., KDD'14), reduced to its modern formulation:
@@ -18,8 +18,8 @@ object DeepWalkLite {
             window: Int = 5, negative: Int = 5, lr0: Double = 0.025,
             seed: Long = 55): Emb = {
     val sym = AROPE.symmetrized(g)
-    val csr = ForwardPush.csr(sym)
-    val n = csr.n
+    val csr = sym.adjacency
+    val n = csr.rows
     val rng = new Random(seed)
     val emb = Array.fill(n, k)((rng.nextDouble() - 0.5) / k)
     val ctx = Array.ofDim[Double](n, k)
@@ -55,24 +55,24 @@ object DeepWalkLite {
     Emb.symmetricOf(emb)
   }
 
-  private def randomWalk(csr: ForwardPush.Csr, start: Int, len: Int, rng: Random): Array[Int] = {
+  private def randomWalk(csr: Csr, start: Int, len: Int, rng: Random): Array[Int] = {
     val out = new Array[Int](len)
     var cur = start
     var i = 0
     while (i < len) {
       out(i) = cur
-      val d = csr.outDeg(cur)
+      val d = csr.rowLength(cur)
       if (d == 0) return out.take(i + 1)
-      cur = csr.targets(csr.offsets(cur) + rng.nextInt(d))
+      cur = csr.colIdx(csr.offsets(cur) + rng.nextInt(d))
       i += 1
     }
     out
   }
 
   /** Unigram^0.75 negative-sampling table (word2vec convention). */
-  private def buildNegTable(csr: ForwardPush.Csr, size: Int, seed: Long): Array[Int] = {
-    val n = csr.n
-    val w = Array.tabulate(n)(i => math.pow(math.max(csr.outDeg(i), 1), 0.75))
+  private def buildNegTable(csr: Csr, size: Int, seed: Long): Array[Int] = {
+    val n = csr.rows
+    val w = Array.tabulate(n)(i => math.pow(math.max(csr.rowLength(i), 1), 0.75))
     val total = w.sum
     val table = new Array[Int](size)
     var node = 0
@@ -118,8 +118,8 @@ object APPLite {
 
   def apply(g: Graph, k: Int, alpha: Double = 0.15, samplesPerNode: Int = 200,
             negative: Int = 5, lr0: Double = 0.05, seed: Long = 66): Emb = {
-    val csr = ForwardPush.csr(g)
-    val n = csr.n
+    val csr = g.adjacency
+    val n = csr.rows
     val kPrime = math.max(1, k / 2)
     val rng = new Random(seed)
     val x = Array.fill(n, kPrime)((rng.nextDouble() - 0.5) / kPrime)
@@ -127,10 +127,8 @@ object APPLite {
     // word2vec convention: negatives ∝ (target frequency)^0.75 — here the
     // in-degree, since targets are walk *endpoints*. Uniform negatives
     // would net-penalize popular targets and invert the ranking.
-    val inDeg = new Array[Int](n)
-    csr.targets.foreach(t => inDeg(t) += 1)
     val negTable = {
-      val w = Array.tabulate(n)(i => math.pow(math.max(inDeg(i), 1), 0.75))
+      val w = Array.tabulate(n)(i => math.pow(math.max(g.inDeg(i), 1.0), 0.75))
       val totalW = w.sum
       val size = 1 << 20
       val table = new Array[Int](size)
@@ -164,12 +162,12 @@ object APPLite {
   }
 
   /** One α-terminated random walk from `u`; returns the endpoint. */
-  private def pprWalk(csr: ForwardPush.Csr, u: Int, alpha: Double, rng: Random): Int = {
+  private def pprWalk(csr: Csr, u: Int, alpha: Double, rng: Random): Int = {
     var cur = u
     while (rng.nextDouble() >= alpha) {
-      val d = csr.outDeg(cur)
+      val d = csr.rowLength(cur)
       if (d == 0) return cur
-      cur = csr.targets(csr.offsets(cur) + rng.nextInt(d))
+      cur = csr.colIdx(csr.offsets(cur) + rng.nextInt(d))
     }
     cur
   }

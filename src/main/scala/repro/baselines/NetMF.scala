@@ -1,7 +1,9 @@
 package repro.baselines
 
 import repro.graph.Graph
+import repro.linalg.DenseMat
 import repro.ppr.ExactPPR
+import repro.svd.BKSVD
 
 /** NetMF (Qiu et al., WSDM'18) — DeepWalk as explicit matrix
   * factorization: `M = vol(G)/(b·T) · (Σ_{r=1…T} P^r) · D⁻¹`, truncated
@@ -18,8 +20,8 @@ object NetMF {
             seed: Long = 33): Emb = {
     val mPrime = matrix(g, windowT, negB)
     val n = mPrime.length
-    val (u, sigma, _) = LocalMat.randomizedSVD(LocalMat.DenseMat(mPrime), k, q = 4, seed = seed)
-    val x = Array.tabulate(n, k)((i, j) => u(i)(j) * math.sqrt(sigma(j)))
+    val svd = BKSVD(DenseMat(mPrime), k, q = 4, seed = seed)
+    val x = Array.tabulate(n, k)((i, j) => svd.u(i)(j) * math.sqrt(svd.sigma(j)))
     Emb.symmetricOf(x)
   }
 
@@ -33,7 +35,7 @@ object NetMF {
     val p = ExactPPR.transition(adj)
     val vol = adj.map(_.sum).sum
     val invDeg = adj.map { row => val d = row.sum; if (d > 0) 1.0 / d else 0.0 }
-    val pm = LocalMat.DenseMat(p)
+    val pm = DenseMat(p)
     // S = Σ_{r=1..T} P^r via repeated dense (parallel) products.
     var power = p
     val s = Array.ofDim[Double](n, n)

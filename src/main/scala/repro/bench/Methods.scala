@@ -23,7 +23,7 @@ object Methods {
 
   /** The un-reweighted baseline (Algorithm 1 alone) — NRP with ℓ₂ = 0. */
   val approxPpr: Spec = Spec("ApproxPPR", scalable = true, (g, k, seed) => {
-    val e = ApproxPPR(g, math.max(1, k / 2), seed = seed).local
+    val e = ApproxPPR(g, math.max(1, k / 2), seed = seed)
     Emb(e.x, e.y)
   })
 

@@ -1,7 +1,7 @@
 package repro.core
 
 import repro.graph.Graph
-import repro.linalg.DistMatrix
+import repro.linalg.Dense
 import repro.svd.BKSVD
 
 /** Algorithm 1 — ApproxPPR: implicit factorization of the truncated PPR
@@ -16,52 +16,36 @@ import repro.svd.BKSVD
   */
 object ApproxPPR {
 
-  /** Forward (`x`) and backward (`y`) embedding matrices, n×k′ each. */
-  final case class Embeddings(x: DistMatrix, y: DistMatrix) {
-    def local: LocalEmb = LocalEmb(x.collectLocal(), y.collectLocal())
+  /** Forward (`x`) and backward (`y`) embeddings, n×k′ each. */
+  final case class LocalEmb(x: Array[Array[Double]], y: Array[Array[Double]]) {
+    /** The embeddings themselves (kept for callers written against `.local`). */
+    def local: LocalEmb = this
   }
-
-  /** Driver-local copy of the embeddings used by reweighting + evaluation. */
-  final case class LocalEmb(x: Array[Array[Double]], y: Array[Array[Double]])
 
   def apply(g: Graph, kPrime: Int, alpha: Double = 0.15, l1: Int = 20,
-            eps: Double = 0.2, seed: Long = 20): Embeddings = {
-    val svd = BKSVD(g, kPrime, eps, seed)
-    val sqrtSigma = diag(svd.sigma.map(math.sqrt))
-    val x1 = svd.u.timesLocal(sqrtSigma).scaleRows(g.invOutDeg).checkpointed().cache()
-    val y = svd.v.timesLocal(sqrtSigma).checkpointed()
-    var x = x1
-    for (_ <- 2 to l1) {
-      // Xᵢ = (1−α)·P·Xᵢ₋₁ + X₁ — checkpoint each step to bound lineage.
-      x = x1.plus(g.pMultiply(x), 1 - alpha).checkpointed()
-    }
-    x = x.scaled(alpha * (1 - alpha)).checkpointed()
-    x1.unpersist()
-    Embeddings(x, y)
-  }
+            eps: Double = 0.2, seed: Long = 20): LocalEmb =
+    sweep(g, kPrime, alpha, Seq(l1), eps, seed)(l1)
 
-  /** Run one BKSVD + iteration chain but snapshot the embeddings at every
+  /** Run one BKSVD + iteration chain and snapshot the embeddings at every
     * requested ℓ₁ — an ℓ₁-sweep (Fig. 8c / 11a) for the price of one run.
     */
   def sweep(g: Graph, kPrime: Int, alpha: Double, l1Values: Seq[Int],
             eps: Double = 0.2, seed: Long = 20): Map[Int, LocalEmb] = {
+    require(l1Values.nonEmpty && l1Values.min >= 1, s"every l1 must be >= 1, got $l1Values")
     val svd = BKSVD(g, kPrime, eps, seed)
-    val sqrtSigma = diag(svd.sigma.map(math.sqrt))
-    val x1 = svd.u.timesLocal(sqrtSigma).scaleRows(g.invOutDeg).checkpointed().cache()
-    val y = svd.v.timesLocal(sqrtSigma).checkpointed()
-    val yLocal = y.collectLocal()
+    val sqrtSigma = svd.sigma.map(math.sqrt)
+    val inv = g.invOutDeg
+    val x1 = Array.tabulate(svd.u.length, kPrime)((u, j) => svd.u(u)(j) * sqrtSigma(j) * inv(u))
+    val y = Array.tabulate(svd.v.length, kPrime)((v, j) => svd.v(v)(j) * sqrtSigma(j))
+    val p = g.adjacency.scaleRows(inv)
     val want = l1Values.toSet
-    val out = scala.collection.mutable.Map.empty[Int, LocalEmb]
+    val out = Map.newBuilder[Int, LocalEmb]
     var x = x1
     for (i <- 1 to l1Values.max) {
-      if (i > 1) x = x1.plus(g.pMultiply(x), 1 - alpha).checkpointed()
-      if (want(i))
-        out(i) = LocalEmb(x.scaled(alpha * (1 - alpha)).collectLocal(), yLocal)
+      // Xᵢ = (1−α)·P·Xᵢ₋₁ + X₁
+      if (i > 1) x = x1.zip(p.mult(x)).map { case (a, b) => Dense.axpy(a, 1 - alpha, b) }
+      if (want(i)) out += i -> LocalEmb(x.map(Dense.scale(_, alpha * (1 - alpha))), y)
     }
-    x1.unpersist()
-    out.toMap
+    out.result()
   }
-
-  private def diag(d: Array[Double]): Array[Array[Double]] =
-    Array.tabulate(d.length, d.length)((i, j) => if (i == j) d(i) else 0.0)
 }

@@ -5,7 +5,7 @@ import scala.util.Random
 
 /** Algorithm 3 — the complete NRP pipeline.
   *
-  * 1. k′ = k/2; run [[ApproxPPR]] (distributed) for initial X, Y with
+  * 1. k′ = k/2; run [[ApproxPPR]] for initial X, Y with
   *    `XYᵀ ≈ Π′`.
   * 2. Initialize w⃗_v = d_out(v), w⃖_v = 1.
   * 3. ℓ₂ coordinate-descent epochs, each one backward sweep
@@ -32,10 +32,7 @@ object NRP {
   def apply(g: Graph, params: Params = Params()): Result = {
     val kPrime = math.max(1, params.k / 2)
     val emb = ApproxPPR(g, kPrime, params.alpha, params.l1, params.eps, params.seed)
-    val x = emb.x.collectLocal()
-    val y = emb.y.collectLocal()
-    emb.x.unpersist(); emb.y.unpersist()
-    reweight(g, x, y, params)
+    reweight(g, emb.x, emb.y, params)
   }
 
   /** The reweighting stage alone, given ApproxPPR's output — lets the

@@ -10,9 +10,8 @@ import scala.util.Random
   * (Eqs. 11/26), and the AM-GM approximation of b₁ (Eqs. 14/29). One
   * epoch over all nodes costs O(n·k′²).
   *
-  * Runs driver-local over the collected X/Y: the paper's descent is
-  * inherently sequential (ρ's change after *each* weight) and its
-  * O(n·k′²) cost is dwarfed by the distributed O(m)-dominant PPR phase.
+  * Runs driver-local over X/Y: the paper's descent is inherently
+  * sequential (ρ's change after *each* weight) and costs O(n·k′²).
   *
   * The `naive*` methods implement the unaccelerated O(n²k′²) definitions
   * (Eqs. 7/23) and the Eq.-6 objective verbatim; they exist so the test

@@ -2,7 +2,7 @@ package repro.graph
 
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
-import repro.linalg.DistMatrix
+import repro.linalg.Csr
 
 /** A directed graph as a deduplicated, self-loop-free edge-list DataFrame
   * with columns `src: Long`, `dst: Long` over node ids `0 … n−1`.
@@ -12,34 +12,43 @@ import repro.linalg.DistMatrix
   * modelling intent (it changes evaluation, e.g. whether (u,v) and (v,u)
   * are distinct link-prediction pairs — not the algebra).
   *
-  * Degree vectors are collected once to driver arrays: they are O(n)
-  * longs, needed by every phase of NRP (D⁻¹ scaling, weight targets), and
-  * n stays ≪ m for all graphs we run.
+  * Every algorithm runs on [[adjacency]], one driver-resident CSR copy of
+  * the edges (≈ 12m + 4n bytes); the DataFrame stays for ingest and the
+  * DuckDB-checked queries.
   */
 final class Graph(val spark: SparkSession, val edges: DataFrame, val n: Long, val directed: Boolean) {
 
   /** Number of (directed) edges. */
   lazy val m: Long = edges.count()
 
+  /** Adjacency matrix `A` (`A[u][v] = 1` for each edge u→v), collected
+    * once. Rejects graphs whose n exceeds the Int range or whose edges
+    * name a node outside [0, n).
+    */
+  lazy val adjacency: Csr = {
+    require(n >= 0 && n <= Int.MaxValue, s"n = $n is outside [0, Int.MaxValue]")
+    Csr.fromTriples(n.toInt, n.toInt, edges.collect().iterator.map { r =>
+      val (u, v) = (r.getLong(0), r.getLong(1))
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u, $v) has an endpoint outside [0, $n)")
+      (u.toInt, v.toInt, 1.0)
+    })
+  }
+
   /** Out-degree per node id, dense over 0…n−1 (missing nodes → 0). */
-  lazy val outDeg: Array[Double] = degreeArray("src")
+  lazy val outDeg: Array[Double] = Array.tabulate(adjacency.rows)(adjacency.rowLength(_).toDouble)
 
   /** In-degree per node id, dense over 0…n−1 (missing nodes → 0). */
-  lazy val inDeg: Array[Double] = degreeArray("dst")
+  lazy val inDeg: Array[Double] = {
+    val d = new Array[Double](adjacency.cols)
+    adjacency.colIdx.foreach(v => d(v) += 1)
+    d
+  }
 
   /** 1/d_out(u), with dangling nodes (d_out = 0) mapped to 0 so that the
     * transition matrix row of a dangling node is identically zero (the
     * walk terminates there), matching the exact-PPR oracle.
     */
   lazy val invOutDeg: Array[Double] = outDeg.map(d => if (d > 0) 1.0 / d else 0.0)
-
-  private def degreeArray(endpoint: String): Array[Double] = {
-    val rows = edges.groupBy(col(endpoint).as("id")).agg(count(lit(1)).as("deg"))
-      .collect()
-    val arr = new Array[Double](n.toInt)
-    rows.foreach(r => arr(r.getLong(0).toInt) = r.getLong(1).toDouble)
-    arr
-  }
 
   /** Degree table as a DataFrame (id, deg) — used by oracle-checked tests. */
   def degreeDf(endpoint: String): DataFrame =
@@ -48,43 +57,6 @@ final class Graph(val spark: SparkSession, val edges: DataFrame, val n: Long, va
   /** The transpose graph (every edge reversed). */
   def reverse: Graph =
     new Graph(spark, edges.select(col("dst").as("src"), col("src").as("dst")), n, directed)
-
-  /** Sparse-matrix × tall-skinny product `A·X`:
-    * `(A·X)[u] = Σ_{(u,v)∈E} X[v]`.
-    */
-  def aMultiply(x: DistMatrix): DistMatrix = multiply(x, fromCol = "dst", toCol = "src")
-
-  /** `Aᵀ·X`: `(AᵀX)[v] = Σ_{(u,v)∈E} X[u]`. */
-  def aTMultiply(x: DistMatrix): DistMatrix = multiply(x, fromCol = "src", toCol = "dst")
-
-  /** Transition-matrix product `P·X` with `P = D⁻¹A` (dangling rows zero). */
-  def pMultiply(x: DistMatrix): DistMatrix = {
-    val inv = invOutDeg
-    aMultiply(x).scaleRows(inv)
-  }
-
-  /** `Pᵀ·X` (used by reverse-graph computations). */
-  def pTMultiply(x: DistMatrix): DistMatrix = {
-    val inv = invOutDeg
-    aTMultiply(x.scaleRows(inv))
-  }
-
-  private def multiply(x: DistMatrix, fromCol: String, toCol: String): DistMatrix = {
-    val k = x.k
-    import spark.implicits._
-    val joined = edges
-      .join(x.df.withColumnRenamed("id", "__xid"), col(fromCol) === col("__xid"))
-      .select(col(toCol).as("gid"), col("vec"))
-      .as[(Long, Seq[Double])]
-    val agg = new DistMatrix.VecSumAgg(k,
-      implicitly[org.apache.spark.sql.Encoder[Array[Double]]],
-      implicitly[org.apache.spark.sql.Encoder[Seq[Double]]])
-    val summed = joined
-      .groupByKey(_._1)
-      .agg(agg.toColumn)
-      .toDF("id", "vec")
-    DistMatrix.densify(spark, summed, n, k)
-  }
 }
 
 object Graph {

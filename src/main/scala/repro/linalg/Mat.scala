@@ -1,0 +1,156 @@
+package repro.linalg
+
+import java.util.stream.IntStream
+
+/** A driver-local matrix that multiplies tall-skinny dense blocks — the
+  * one operator interface of the reproduction. [[Csr]] carries every
+  * graph matrix (adjacency, transition, STRAP's transpose proximity);
+  * [[DenseMat]] carries the n×n matrices the dense baselines materialize
+  * by design. Blocks are row-major `Array[Array[Double]]`.
+  */
+trait Mat {
+  def rows: Int
+  def cols: Int
+  /** `M · B` where B is cols×k. */
+  def mult(b: Array[Array[Double]]): Array[Array[Double]]
+  /** `Mᵀ · B` where B is rows×k. */
+  def multT(b: Array[Array[Double]]): Array[Array[Double]]
+}
+
+object Mat {
+  /** Column count of a block (0 for a block without rows). */
+  private[linalg] def width(b: Array[Array[Double]]): Int = if (b.isEmpty) 0 else b(0).length
+}
+
+/** Dense row-major matrix with row-parallel `mult`. */
+final case class DenseMat(a: Array[Array[Double]]) extends Mat {
+  def rows: Int = a.length
+  def cols: Int = Mat.width(a)
+  def mult(b: Array[Array[Double]]): Array[Array[Double]] = {
+    val k = Mat.width(b)
+    val out = Array.ofDim[Double](rows, k)
+    IntStream.range(0, rows).parallel().forEach { i =>
+      val ai = a(i); val oi = out(i)
+      var l = 0
+      while (l < cols) {
+        val c = ai(l)
+        if (c != 0.0) {
+          val bl = b(l)
+          var j = 0
+          while (j < k) { oi(j) += c * bl(j); j += 1 }
+        }
+        l += 1
+      }
+    }
+    out
+  }
+  def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
+    val k = Mat.width(b)
+    val out = Array.ofDim[Double](cols, k)
+    var i = 0
+    while (i < rows) {
+      val ai = a(i); val bi = b(i)
+      var l = 0
+      while (l < cols) {
+        val c = ai(l)
+        if (c != 0.0) {
+          val ol = out(l)
+          var j = 0
+          while (j < k) { ol(j) += c * bi(j); j += 1 }
+        }
+        l += 1
+      }
+      i += 1
+    }
+    out
+  }
+}
+
+/** Compressed sparse row matrix: row i holds the entries
+  * `offsets(i) until offsets(i+1)` of `colIdx`/`values`, with column
+  * indices strictly increasing within each row. The fixed order makes
+  * every product a pure function of the matrix, whatever order its
+  * entries arrived in. Takes 4(rows+1) + 12·nnz bytes.
+  */
+final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
+                val colIdx: Array[Int], val values: Array[Double]) extends Mat {
+
+  def nnz: Int = offsets(rows)
+
+  /** Number of stored entries in row i (the out-degree of an adjacency row). */
+  def rowLength(i: Int): Int = offsets(i + 1) - offsets(i)
+
+  /** Row-parallel `M · B`. */
+  def mult(b: Array[Array[Double]]): Array[Array[Double]] = {
+    val k = Mat.width(b)
+    val out = Array.ofDim[Double](rows, k)
+    IntStream.range(0, rows).parallel().forEach { i =>
+      val oi = out(i)
+      var e = offsets(i)
+      while (e < offsets(i + 1)) {
+        val c = values(e); val bl = b(colIdx(e))
+        var j = 0
+        while (j < k) { oi(j) += c * bl(j); j += 1 }
+        e += 1
+      }
+    }
+    out
+  }
+
+  /** `Mᵀ · B`, scattered row by row in index order. */
+  def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
+    val k = Mat.width(b)
+    val out = Array.ofDim[Double](cols, k)
+    var i = 0
+    while (i < rows) {
+      val bi = b(i)
+      var e = offsets(i)
+      while (e < offsets(i + 1)) {
+        val c = values(e); val ol = out(colIdx(e))
+        var j = 0
+        while (j < k) { ol(j) += c * bi(j); j += 1 }
+        e += 1
+      }
+      i += 1
+    }
+    out
+  }
+
+  /** `diag(s) · M`: same sparsity, row i's values scaled by `s(i)`. */
+  def scaleRows(s: Array[Double]): Csr = {
+    val v = new Array[Double](nnz)
+    var i = 0
+    while (i < rows) {
+      var e = offsets(i)
+      while (e < offsets(i + 1)) { v(e) = s(i) * values(e); e += 1 }
+      i += 1
+    }
+    new Csr(rows, cols, offsets, colIdx, v)
+  }
+}
+
+object Csr {
+
+  /** Build from (row, col, value) triples; entries at the same position
+    * are summed in arrival order.
+    */
+  def fromTriples(rows: Int, cols: Int, triples: Iterator[(Int, Int, Double)]): Csr = {
+    val entries = triples.map { case t @ (r, c, _) =>
+      require(r >= 0 && r < rows && c >= 0 && c < cols, s"entry ($r, $c) lies outside a $rows×$cols matrix")
+      t
+    }.toArray.sortBy { case (r, c, _) => r.toLong * cols + c } // stable
+    val offsets = new Array[Int](rows + 1)
+    val colIdx = new Array[Int](entries.length)
+    val values = new Array[Double](entries.length)
+    var nnz = 0
+    entries.indices.foreach { e =>
+      val (r, c, v) = entries(e)
+      if (e > 0 && entries(e - 1)._1 == r && entries(e - 1)._2 == c) values(nnz - 1) += v
+      else { colIdx(nnz) = c; values(nnz) = v; nnz += 1 }
+      offsets(r + 1) = nnz
+    }
+    var i = 0 // rows without entries start where the previous row ended
+    while (i < rows) { offsets(i + 1) = math.max(offsets(i + 1), offsets(i)); i += 1 }
+    new Csr(rows, cols, offsets, java.util.Arrays.copyOf(colIdx, nnz), java.util.Arrays.copyOf(values, nnz))
+  }
+}

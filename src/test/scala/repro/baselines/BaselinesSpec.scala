@@ -2,8 +2,9 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.graph.{Generators, Graph}
-import repro.linalg.Dense
+import repro.linalg.{Csr, Dense, DenseMat}
 import repro.ppr.ExactPPR
+import repro.svd.BKSVD
 
 /** Shape/semantics tests for every reimplemented baseline. */
 class BaselinesSpec extends SparkSpec {
@@ -173,35 +174,36 @@ class BaselinesSpec extends SparkSpec {
     assert(e.x.flatten.forall(v => v >= -1.0 && v <= 1.0)) // tanh range
   }
 
-  // ---- LocalMat --------------------------------------------------------
+  // ---- Mat (Csr, DenseMat) and the shared SVD ---------------------------
 
-  test("SparseMat mult/multT agree with DenseMat") {
+  test("Csr mult/multT agree with DenseMat") {
     val rng = new scala.util.Random(5)
     val dense = Array.fill(6, 4)(if (rng.nextDouble() < 0.5) rng.nextGaussian() else 0.0)
     val triples = for (i <- 0 until 6; j <- 0 until 4 if dense(i)(j) != 0.0)
       yield (i, j, dense(i)(j))
-    val sparse = LocalMat.csrFromTriples(6, 4, triples.iterator)
+    val sparse = Csr.fromTriples(6, 4, triples.iterator)
     val b = Array.fill(4, 3)(rng.nextGaussian())
     val bT = Array.fill(6, 3)(rng.nextGaussian())
-    val d = LocalMat.DenseMat(dense)
+    val d = DenseMat(dense)
     val m1 = d.mult(b); val m2 = sparse.mult(b)
     for (i <- 0 until 6; j <- 0 until 3) assert(math.abs(m1(i)(j) - m2(i)(j)) < 1e-12)
     val t1 = d.multT(bT); val t2 = sparse.multT(bT)
     for (i <- 0 until 4; j <- 0 until 3) assert(math.abs(t1(i)(j) - t2(i)(j)) < 1e-12)
   }
 
-  test("csrFromTriples sums duplicate entries") {
-    val m = LocalMat.csrFromTriples(2, 2, Iterator((0, 1, 1.0), (0, 1, 2.0)))
+  test("Csr.fromTriples sums duplicate entries") {
+    val m = Csr.fromTriples(2, 2, Iterator((0, 1, 1.0), (1, 0, 5.0), (0, 1, 2.0)))
+    assert(m.nnz == 2)
     val out = m.mult(Array(Array(0.0), Array(1.0)))
     assert(out(0)(0) == 3.0)
   }
 
-  test("local randomizedSVD reconstructs a low-rank matrix") {
+  test("BKSVD reconstructs a low-rank dense matrix") {
     val rng = new scala.util.Random(6)
     val u0 = Array.fill(10, 2)(rng.nextGaussian())
     val v0 = Array.fill(8, 2)(rng.nextGaussian())
     val a = Dense.matmul(u0, Dense.transpose(v0))
-    val (u, s, v) = LocalMat.randomizedSVD(LocalMat.DenseMat(a), k = 4, q = 4)
+    val BKSVD.Result(u, s, v) = BKSVD(DenseMat(a), 4, q = 4, seed = 33)
     val us = Array.tabulate(10, 4)((i, j) => u(i)(j) * s(j))
     val rec = Dense.matmul(us, Dense.transpose(v))
     for (i <- 0 until 10; j <- 0 until 8)

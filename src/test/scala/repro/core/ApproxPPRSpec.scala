@@ -22,7 +22,7 @@ class ApproxPPRSpec extends SparkSpec {
 
   test("XYᵀ approximates Π′ on the example graph within the Theorem-1 bound") {
     val g = Generators.example9(spark)
-    val e = ApproxPPR(g, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2).local
+    val e = ApproxPPR(g, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2)
     val got = product(e)
     val target = ExactPPR.pprTruncated(g, 0.15, 20)
     val bound = theorem1Bound(g, 4, 0.2, 0.15, 20)
@@ -33,7 +33,7 @@ class ApproxPPRSpec extends SparkSpec {
 
   test("full-rank factorization reproduces Π′ almost exactly") {
     val g = Generators.example9(spark)
-    val e = ApproxPPR(g, kPrime = 9, alpha = 0.15, l1 = 40, eps = 0.1).local
+    val e = ApproxPPR(g, kPrime = 9, alpha = 0.15, l1 = 40, eps = 0.1)
     val got = product(e)
     val target = ExactPPR.pprTruncated(g, 0.15, 40)
     for (u <- 0 until 9; v <- 0 until 9; if u != v)
@@ -46,7 +46,7 @@ class ApproxPPRSpec extends SparkSpec {
     // agreement with Π up to the σ₃-sized Theorem-1 bound, so we check
     // that bound rather than their specific draw.
     val g = Generators.example9(spark)
-    val e = ApproxPPR(g, kPrime = 2, alpha = 0.15, l1 = 20, eps = 0.2).local
+    val e = ApproxPPR(g, kPrime = 2, alpha = 0.15, l1 = 20, eps = 0.2)
     val pi = ExactPPR.ppr(g, 0.15)
     val bound = theorem1Bound(g, 2, 0.2, 0.15, 20)
     val s24 = Dense.dot(e.x(1), e.y(3))
@@ -59,7 +59,7 @@ class ApproxPPRSpec extends SparkSpec {
     val g = Generators.dcsbm(spark, n = 80, avgDeg = 4, numLabels = 2, seed = 31).graph
     val target = ExactPPR.ppr(g, 0.15)
     def err(l1: Int): Double = {
-      val e = ApproxPPR(g, kPrime = 40, alpha = 0.15, l1 = l1, eps = 0.1).local
+      val e = ApproxPPR(g, kPrime = 40, alpha = 0.15, l1 = l1, eps = 0.1)
       val got = product(e)
       (for (u <- 0 until 80; v <- 0 until 80 if u != v)
         yield math.abs(got(u)(v) - target(u)(v))).max
@@ -72,7 +72,7 @@ class ApproxPPRSpec extends SparkSpec {
     val g = Generators.example9(spark)
     val sw = ApproxPPR.sweep(g, kPrime = 4, alpha = 0.15, l1Values = Seq(3, 7), eps = 0.2)
     for (l1 <- Seq(3, 7)) {
-      val standalone = ApproxPPR(g, 4, 0.15, l1, 0.2).local
+      val standalone = ApproxPPR(g, 4, 0.15, l1, 0.2)
       val fromSweep = sw(l1)
       for (i <- 0 until 9; j <- 0 until 4) {
         assert(math.abs(standalone.x(i)(j) - fromSweep.x(i)(j)) < 1e-8, s"x($i)($j) l1=$l1")
@@ -81,10 +81,27 @@ class ApproxPPRSpec extends SparkSpec {
     }
   }
 
+  test("kPrime > n and an edgeless graph give finite n×kPrime embeddings") {
+    def finiteShape(e: ApproxPPR.LocalEmb, n: Int, k: Int): Unit =
+      for (m <- Seq(e.x, e.y))
+        assert(m.length == n && m.forall(r => r.length == k && r.forall(v => !v.isNaN && !v.isInfinite)))
+    val g9 = Generators.example9(spark)
+    val wide = ApproxPPR(g9, kPrime = 12, alpha = 0.15, l1 = 20, eps = 0.2)
+    finiteShape(wide, 9, 12)
+    // rank 9 = n: the factorization is exact off the diagonal
+    val target = ExactPPR.pprTruncated(g9, 0.15, 20)
+    val got = product(wide)
+    for (u <- 0 until 9; v <- 0 until 9 if u != v) assert(math.abs(got(u)(v) - target(u)(v)) < 1e-4, s"($u,$v)")
+    val empty = repro.graph.Graph.fromLocal(spark, Seq.empty[(Long, Long)], n = 4, directed = true)
+    val e = ApproxPPR(empty, kPrime = 2, alpha = 0.15, l1 = 5, eps = 0.2)
+    finiteShape(e, 4, 2)
+    assert(e.x.flatten.forall(_ == 0.0) && e.y.flatten.forall(_ == 0.0))
+  }
+
   test("directed graphs produce asymmetric scores") {
     val g = repro.graph.Graph.fromLocal(spark,
       Seq((0L, 1L), (1L, 2L), (2L, 0L), (0L, 2L)), n = 3, directed = true)
-    val e = ApproxPPR(g, kPrime = 3, alpha = 0.15, l1 = 20, eps = 0.1).local
+    val e = ApproxPPR(g, kPrime = 3, alpha = 0.15, l1 = 20, eps = 0.1)
     val s01 = Dense.dot(e.x(0), e.y(1))
     val s10 = Dense.dot(e.x(1), e.y(0))
     assert(math.abs(s01 - s10) > 1e-3)

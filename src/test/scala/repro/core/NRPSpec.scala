@@ -21,7 +21,7 @@ class NRPSpec extends SparkSpec {
   }
 
   test("headline: NRP ranks (v2,v4) above (v9,v7) — ApproxPPR does not") {
-    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2).local
+    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2)
     val pprScore24 = Dense.dot(plain.x(1), plain.y(3))
     val pprScore97 = Dense.dot(plain.x(8), plain.y(6))
     assert(pprScore97 > pprScore24, "vanilla PPR exhibits the Section-1 deficiency")
@@ -38,7 +38,7 @@ class NRPSpec extends SparkSpec {
   }
 
   test("reweighting moves connection-strength sums toward degrees (Eq. 5)") {
-    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2).local
+    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2)
     def degreeError(x: Array[Array[Double]], y: Array[Array[Double]]): Double = {
       var err = 0.0
       for (u <- 0 until 9) {
@@ -57,7 +57,7 @@ class NRPSpec extends SparkSpec {
   }
 
   test("l2 = 0 reduces to ApproxPPR scaled by the initial weights") {
-    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2).local
+    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2)
     val r0 = NRP.reweight(g9, plain.x, plain.y, NRP.Params(k = 8, l2 = 0))
     for (v <- 0 until 9; j <- 0 until 4) {
       assert(math.abs(r0.x(v)(j) - plain.x(v)(j) * math.max(g9.outDeg(v), 1.0 / 9)) < 1e-12)
@@ -66,7 +66,7 @@ class NRPSpec extends SparkSpec {
   }
 
   test("reweightSweep epoch snapshots match standalone runs; epoch 0 is plain ApproxPPR") {
-    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2).local
+    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2)
     val sweep = NRP.reweightSweep(g9, plain.x.map(_.clone()), plain.y.map(_.clone()),
       NRP.Params(k = 8, l2 = 10), Seq(0, 3, 10))
     for (l2 <- Seq(3, 10)) {

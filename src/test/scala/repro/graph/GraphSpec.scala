@@ -2,7 +2,6 @@ package repro.graph
 
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
-import repro.linalg.DistMatrix
 import scala.util.Random
 
 /** Graph substrate tests; DataFrame-shaped results are cross-checked
@@ -68,11 +67,11 @@ class GraphSpec extends SparkSpec {
     a
   }
 
-  test("aMultiply matches local dense A·X") {
+  test("adjacency mult matches local dense A·X") {
     val g = exampleGraph
     val rng = new Random(1)
     val x = Array.fill(9, 3)(rng.nextGaussian())
-    val got = g.aMultiply(DistMatrix.fromLocal(spark, x)).collectLocal()
+    val got = g.adjacency.mult(x)
     val a = localAdj(g)
     for (u <- 0 until 9; j <- 0 until 3) {
       val exp = (0 until 9).map(v => a(u)(v) * x(v)(j)).sum
@@ -80,11 +79,11 @@ class GraphSpec extends SparkSpec {
     }
   }
 
-  test("aTMultiply matches local dense Aᵀ·X") {
+  test("adjacency multT matches local dense Aᵀ·X") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L), (0L, 2L), (3L, 1L)), n = 4, directed = true)
     val rng = new Random(2)
     val x = Array.fill(4, 2)(rng.nextGaussian())
-    val got = g.aTMultiply(DistMatrix.fromLocal(spark, x)).collectLocal()
+    val got = g.adjacency.multT(x)
     val a = localAdj(g)
     for (v <- 0 until 4; j <- 0 until 2) {
       val exp = (0 until 4).map(u => a(u)(v) * x(u)(j)).sum
@@ -92,20 +91,46 @@ class GraphSpec extends SparkSpec {
     }
   }
 
-  test("pMultiply rows are degree-normalized sums; dangling rows zero") {
+  test("P·X rows are degree-normalized sums; dangling rows zero") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L), (0L, 2L), (1L, 2L)), n = 3, directed = true)
     val x = Array(Array(1.0), Array(2.0), Array(4.0))
-    val got = g.pMultiply(DistMatrix.fromLocal(spark, x)).collectLocal()
+    val got = g.adjacency.scaleRows(g.invOutDeg).mult(x)
     assert(math.abs(got(0)(0) - 3.0) < 1e-9) // (2+4)/2
     assert(math.abs(got(1)(0) - 4.0) < 1e-9) // 4/1
     assert(got(2)(0) == 0.0)                  // dangling
   }
 
-  test("pMultiply of all-ones equals 1 for non-dangling rows (row-stochastic)") {
+  test("P·X of all-ones equals 1 for non-dangling rows (row-stochastic)") {
     val g = exampleGraph
     val ones = Array.fill(9, 1)(1.0)
-    val got = g.pMultiply(DistMatrix.fromLocal(spark, ones)).collectLocal()
+    val got = g.adjacency.scaleRows(g.invOutDeg).mult(ones)
     got.foreach(r => assert(math.abs(r(0) - 1.0) < 1e-9))
+  }
+
+  test("adjacency rows are sorted and match the edge list") {
+    val g = exampleGraph
+    val a = g.adjacency
+    for (u <- 0 until 9) {
+      val row = (a.offsets(u) until a.offsets(u + 1)).map(a.colIdx)
+      assert(row == row.sorted.distinct, s"row $u not strictly increasing: $row")
+    }
+    val fromCsr = (0 until 9).flatMap(u => (a.offsets(u) until a.offsets(u + 1)).map(e => (u.toLong, a.colIdx(e).toLong)))
+    assert(fromCsr.toSet == Generators.example9Edges.flatMap { case (u, v) => Seq((u, v), (v, u)) }.toSet)
+  }
+
+  test("ids outside [0, n) are rejected naming the edge") {
+    for (bad <- Seq(Seq((0L, 3L)), Seq((-1L, 1L)), Seq((0L, 1L + (1L << 32))))) {
+      val g = Graph.fromLocal(spark, bad, n = 3, directed = true)
+      val e = intercept[IllegalArgumentException](g.outDeg)
+      assert(e.getMessage.contains(s"edge (${bad.head._1}, ${bad.head._2})"), e.getMessage)
+    }
+  }
+
+  test("n beyond the Int range is rejected naming n") {
+    val n = Int.MaxValue.toLong + 1
+    val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = n, directed = true)
+    val e = intercept[IllegalArgumentException](g.inDeg)
+    assert(e.getMessage.contains(n.toString), e.getMessage)
   }
 
   test("edge count matches DuckDB") {

@@ -1,11 +1,11 @@
 package repro.integration
 
 import repro.SparkSpec
-import repro.baselines.Emb
+import repro.baselines.{APPLite, Emb}
 import repro.bench.Methods
 import repro.core.{ApproxPPR, NRP}
 import repro.eval.{GraphReconstruction, LinkPrediction, NodeClassification}
-import repro.graph.Generators
+import repro.graph.{Generators, Graph}
 
 /** Integration tests: the paper's qualitative findings at unit-test scale
   * — the directional claims the benches then quantify at bench scale.
@@ -20,7 +20,7 @@ class EndToEndSpec extends SparkSpec {
     Emb(r.x, r.y)
   }
   private lazy val pprEmb: Emb = {
-    val e = ApproxPPR(split.train, kPrime = 16, alpha = 0.15, l1 = 15, eps = 0.2).local
+    val e = ApproxPPR(split.train, kPrime = 16, alpha = 0.15, l1 = 15, eps = 0.2)
     Emb(e.x, e.y)
   }
 
@@ -34,7 +34,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("reweighting improves link prediction over l2=0 (Fig. 8d shape)") {
-    val base = ApproxPPR(split.train, kPrime = 16, alpha = 0.15, l1 = 15, eps = 0.2).local
+    val base = ApproxPPR(split.train, kPrime = 16, alpha = 0.15, l1 = 15, eps = 0.2)
     val sweep = NRP.reweightSweep(split.train, base.x.map(_.clone()), base.y.map(_.clone()),
       NRP.Params(k = 32), Seq(0, 8))
     val auc0 = LinkPrediction.auc(Emb(sweep(0).x, sweep(0).y), split)
@@ -55,6 +55,21 @@ class EndToEndSpec extends SparkSpec {
     val (micro, _) = NodeClassification.evaluate(Emb(r.x, r.y), sbm.labels, sbm.numLabels, 0.5)
     val majority = 1.0 / sbm.numLabels // balanced labels
     assert(micro > majority + 0.1, s"micro-F1 $micro vs majority $majority")
+  }
+
+  test("embeddings are bit-identical however the edge DataFrame is partitioned") {
+    import spark.implicits._
+    val edges = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
+      .edges.as[(Long, Long)].collect().toSeq
+    def run(partitions: Int): Seq[Array[Array[Double]]] = {
+      val g = Graph.fromEdges(spark, edges.toDF("src", "dst").repartition(partitions), 120, directed = true)
+      val ppr = ApproxPPR(g, kPrime = 8, alpha = 0.15, l1 = 10, eps = 0.2)
+      val nrp = NRP(g, NRP.Params(k = 16, l1 = 10, l2 = 3))
+      val app = APPLite(g, k = 16, samplesPerNode = 20)
+      Seq(ppr.x, ppr.y, nrp.x, nrp.y, app.x, app.y)
+    }
+    for ((a, b) <- run(1).zip(run(7)))
+      assert(a.length == b.length && a.indices.forall(i => java.util.Arrays.equals(a(i), b(i))))
   }
 
   test("method registry: every method produces usable embeddings on a tiny graph") {

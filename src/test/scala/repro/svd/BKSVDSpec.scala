@@ -2,10 +2,10 @@ package repro.svd
 
 import repro.SparkSpec
 import repro.graph.{Generators, Graph}
-import repro.linalg.{Dense, DistMatrix}
+import repro.linalg.Dense
 import repro.ppr.ExactPPR
 
-/** Distributed block-Krylov SVD vs the exact local SVD oracle. */
+/** Block-Krylov SVD vs the exact local SVD oracle. */
 class BKSVDSpec extends SparkSpec {
 
   private def orthonormal(m: Array[Array[Double]], tol: Double = 1e-6): Unit = {
@@ -15,8 +15,21 @@ class BKSVDSpec extends SparkSpec {
   }
 
   test("whiten produces orthonormal columns") {
-    val x = DistMatrix.gaussian(spark, 40, 5, seed = 1)
-    orthonormal(BKSVD.whiten(x).collectLocal())
+    val x = BKSVD.gaussian(40, 5, seed = 1)
+    orthonormal(BKSVD.whiten(x))
+  }
+
+  test("gaussian is deterministic in (seed, id)") {
+    val a = BKSVD.gaussian(11, 4, seed = 5)
+    assert(a.map(_.toSeq).toSeq == BKSVD.gaussian(11, 4, seed = 5).map(_.toSeq).toSeq)
+    // row i depends on (seed, i) only, not on how many rows are drawn
+    assert(a.take(7).map(_.toSeq).toSeq == BKSVD.gaussian(7, 4, seed = 5).map(_.toSeq).toSeq)
+  }
+
+  test("gaussian differs across seeds") {
+    val a = BKSVD.gaussian(8, 4, seed = 5)
+    val b = BKSVD.gaussian(8, 4, seed = 6)
+    assert(a.zip(b).exists { case (ra, rb) => ra.toSeq != rb.toSeq })
   }
 
   test("iters follows the log(n)/sqrt(eps) schedule within clamps") {
@@ -37,8 +50,8 @@ class BKSVDSpec extends SparkSpec {
   test("U and V have orthonormal columns") {
     val g = Generators.dcsbm(spark, n = 150, avgDeg = 5, numLabels = 3, seed = 11).graph
     val r = BKSVD(g, kPrime = 8, eps = 0.2)
-    orthonormal(r.u.collectLocal(), 1e-5)
-    orthonormal(r.v.collectLocal(), 1e-5)
+    orthonormal(r.u, 1e-5)
+    orthonormal(r.v, 1e-5)
   }
 
   test("UΣVᵀ reconstructs A within the (1+eps)·sigma_{k+1} spectral bound") {
@@ -48,7 +61,7 @@ class BKSVDSpec extends SparkSpec {
     val exactSigma = Dense.svdSmall(a)._2
     val tail = if (exactSigma.length > kP) exactSigma(kP) else 0.0
     val r = BKSVD(g, kPrime = kP, eps = 0.2)
-    val u = r.u.collectLocal(); val v = r.v.collectLocal()
+    val (u, v) = (r.u, r.v)
     val us = Array.tabulate(100, kP)((i, j) => u(i)(j) * r.sigma(j))
     val rec = Dense.matmul(us, Dense.transpose(v))
     // max-norm error ≤ spectral-norm error ≤ (1+eps)·sigma_{k+1} (+ slack)
@@ -64,7 +77,7 @@ class BKSVDSpec extends SparkSpec {
     val g = Graph.fromLocal(spark, edges, n = 10, directed = false)
     val a = ExactPPR.adjacency(g)
     val r = BKSVD(g, kPrime = 2, eps = 0.1)
-    val u = r.u.collectLocal(); val v = r.v.collectLocal()
+    val (u, v) = (r.u, r.v)
     val us = Array.tabulate(10, 2)((i, j) => u(i)(j) * r.sigma(j))
     val rec = Dense.matmul(us, Dense.transpose(v))
     for (i <- 0 until 10; j <- 0 until 10)
@@ -77,7 +90,27 @@ class BKSVDSpec extends SparkSpec {
     assert(r.sigma.length == 3)
     assert(r.sigma(0) > 0.9) // the single edge has singular value 1
     assert(r.sigma(2) < 1e-6)
-    assert(r.u.k == 3 && r.v.k == 3)
+    assert(r.u.forall(_.length == 3) && r.v.forall(_.length == 3))
+  }
+
+  private def finiteShape(m: Array[Array[Double]], n: Int, k: Int): Unit =
+    assert(m.length == n && m.forall(r => r.length == k && r.forall(v => !v.isNaN && !v.isInfinite)))
+
+  test("kPrime > n returns finite n×kPrime factors with sigma zero-padded") {
+    val g = Generators.example9(spark)
+    val r = BKSVD(g, kPrime = 12, eps = 0.2)
+    finiteShape(r.u, 9, 12); finiteShape(r.v, 9, 12)
+    val exact = Dense.svdSmall(ExactPPR.adjacency(g))._2
+    for (j <- exact.indices) assert(math.abs(r.sigma(j) - exact(j)) < 1e-6, s"sigma($j)")
+    assert(r.sigma.drop(9).forall(_ == 0.0), r.sigma.mkString(","))
+  }
+
+  test("an edgeless graph gives zero sigma and finite zero factors") {
+    val g = Graph.fromLocal(spark, Seq.empty[(Long, Long)], n = 5, directed = true)
+    val r = BKSVD(g, kPrime = 3, eps = 0.2)
+    assert(r.sigma.toSeq == Seq(0.0, 0.0, 0.0))
+    finiteShape(r.u, 5, 3); finiteShape(r.v, 5, 3)
+    assert(r.u.flatten.forall(_ == 0.0) && r.v.flatten.forall(_ == 0.0))
   }
 
   test("result is deterministic in the seed") {
@@ -85,6 +118,6 @@ class BKSVDSpec extends SparkSpec {
     val a = BKSVD(g, 3, 0.2, seed = 5)
     val b = BKSVD(g, 3, 0.2, seed = 5)
     assert(a.sigma.toSeq == b.sigma.toSeq)
-    assert(a.u.collectLocal().map(_.toSeq).toSeq == b.u.collectLocal().map(_.toSeq).toSeq)
+    assert(a.u.map(_.toSeq).toSeq == b.u.map(_.toSeq).toSeq)
   }
 }
