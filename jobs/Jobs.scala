@@ -2,10 +2,11 @@ package repro.jobs
 
 import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
+import scala.collection.immutable.ListMap
 
-/** spark-submit entrypoints — one `main` per reproduced exhibit
-  * (DESIGN.md §4). Example:
-  * `spark-submit --class repro.jobs.Table1Job target/scala-2.13/repro_2.13-*.jar`
+/** spark-submit entry point: one argument names the reproduced exhibit
+  * to print (DESIGN.md §4). Example:
+  * `spark-submit --class repro.jobs.Jobs target/scala-2.13/repro_2.13-*.jar t4`
   */
 object Jobs {
   def session(name: String): SparkSession = {
@@ -17,54 +18,27 @@ object Jobs {
     s
   }
 
-  def run(name: String)(body: SparkSession => Unit): Unit = {
-    val spark = session(name)
-    try body(spark)
+  /** Table name → runner; `t8` prints both T8 (AUC) and T11 (time). */
+  val tables: ListMap[String, SparkSession => Any] = ListMap(
+    "t1" -> (Tables.table1(_)),
+    "t3" -> (Tables.datasetStats(_)),
+    "t4" -> (Tables.linkPrediction(_)),
+    "t5" -> (Tables.reconstruction(_)),
+    "t6" -> (Tables.classification(_)),
+    "t7" -> (Tables.efficiency(_)),
+    "t8" -> (Tables.paramSweeps(_)),
+    "t9" -> (Tables.evolving(_)),
+    "t10" -> (Tables.scalability(_)))
+
+  def main(args: Array[String]): Unit = {
+    val runner = args match {
+      case Array(t) if tables.contains(t) => tables(t)
+      case _ => throw new IllegalArgumentException(
+        s"expected one table name, one of ${tables.keys.mkString(", ")}; " +
+          s"got '${args.mkString(" ")}'")
+    }
+    val spark = session(s"nrp-${args(0)}")
+    try runner(spark)
     finally spark.stop()
   }
-}
-
-/** T1 — paper Table 1: exact PPR rows on the Fig.-1 example graph. */
-object Table1Job {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-table1")(Tables.table1(_))
-}
-
-/** T3 — paper Table 3: dataset statistics. */
-object DatasetStatsJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-dataset-stats")(Tables.datasetStats(_))
-}
-
-/** T4 — Fig. 4: link-prediction AUC vs embedding dimensionality. */
-object LinkPredictionJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-link-prediction")(Tables.linkPrediction(_))
-}
-
-/** T5 — Fig. 5: graph-reconstruction precision@K. */
-object ReconstructionJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-reconstruction")(Tables.reconstruction(_))
-}
-
-/** T6 — Fig. 6: node-classification Micro-F1 vs training fraction. */
-object ClassificationJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-classification")(Tables.classification(_))
-}
-
-/** T7 — Fig. 7: embedding-construction running time vs k. */
-object EfficiencyJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-efficiency")(Tables.efficiency(_))
-}
-
-/** T8 + T11 — Fig. 8 / Fig. 11: NRP parameter sweeps (AUC and time). */
-object ParamSweepJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-param-sweep")(Tables.paramSweeps(_))
-}
-
-/** T9 — Fig. 9 / Table 4: evolving-graph link prediction. */
-object EvolvingJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-evolving")(Tables.evolving(_))
-}
-
-/** T10 — Fig. 10: NRP scalability on Erdős–Rényi graphs. */
-object ScalabilityJob {
-  def main(args: Array[String]): Unit = Jobs.run("nrp-scalability")(Tables.scalability(_))
 }

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.linalg.Dense
+import repro.linalg.{Dense, DenseMat}
 import repro.svd.BKSVD
 
 /** AROPE (Zhang et al., KDD'18) — arbitrary-order proximity preserved
@@ -30,20 +30,7 @@ object AROPE {
     // the projected operator B = Uᵀ(A U) = diag(σ)·(VᵀU); eigendecompose
     // the symmetrized B and rotate U by its eigenvectors. This is robust
     // to degenerate σ (where individual u_j are not eigenvectors).
-    val vtu = Array.ofDim[Double](k, k)
-    var i = 0
-    while (i < n) {
-      var p = 0
-      while (p < k) {
-        val vip = v(i)(p)
-        if (vip != 0.0) {
-          var q = 0
-          while (q < k) { vtu(p)(q) += vip * u(i)(q); q += 1 }
-        }
-        p += 1
-      }
-      i += 1
-    }
+    val vtu = DenseMat(v).multT(u)
     val b = Array.tabulate(k, k)((p, q) =>
       (svd.sigma(p) * vtu(p)(q) + svd.sigma(q) * vtu(q)(p)) / 2.0)
     val eig = Dense.eigSym(b)

@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.linalg.DenseMat
+import repro.linalg.{Dense, DenseMat}
 import repro.ppr.ExactPPR
 import scala.util.Random
 
@@ -64,10 +64,10 @@ object DNGRLite {
         // forward
         val h = new Array[Double](k)
         var j = 0
-        while (j < k) { h(j) = math.tanh(dotDense(w1(j), input) + b1(j)); j += 1 }
+        while (j < k) { h(j) = math.tanh(Dense.dot(w1(j), input) + b1(j)); j += 1 }
         val out = new Array[Double](n)
         var i = 0
-        while (i < n) { out(i) = dotShort(w2(i), h) + b2(i); i += 1 }
+        while (i < n) { out(i) = Dense.dot(w2(i), h) + b2(i); i += 1 }
         // backward (MSE): dOut = out − input
         val gH = new Array[Double](k)
         i = 0
@@ -97,21 +97,9 @@ object DNGRLite {
     // embedding = bottleneck activation per node
     val e = Array.tabulate(n) { s =>
       val input = ppmi(s)
-      Array.tabulate(k)(j => math.tanh(dotDense(w1(j), input) + b1(j)))
+      Array.tabulate(k)(j => math.tanh(Dense.dot(w1(j), input) + b1(j)))
     }
     Emb.symmetricOf(e)
-  }
-
-  private def dotDense(w: Array[Double], x: Array[Double]): Double = {
-    var s = 0.0; var i = 0
-    while (i < x.length) { s += w(i) * x(i); i += 1 }
-    s
-  }
-
-  private def dotShort(w: Array[Double], h: Array[Double]): Double = {
-    var s = 0.0; var j = 0
-    while (j < h.length) { s += w(j) * h(j); j += 1 }
-    s
   }
 
   private def shuffleInPlace(a: Array[Int], rng: Random): Unit = {

@@ -23,7 +23,7 @@ object DeepWalkLite {
     val rng = new Random(seed)
     val emb = Array.fill(n, k)((rng.nextDouble() - 0.5) / k)
     val ctx = Array.ofDim[Double](n, k)
-    val negTable = buildNegTable(csr, 1 << 20, seed)
+    val negTable = unigramTable(Array.tabulate(n)(csr.rowLength(_).toDouble))
 
     val totalWalks = n.toLong * walksPerNode
     var done = 0L
@@ -69,10 +69,14 @@ object DeepWalkLite {
     out
   }
 
-  /** Unigram^0.75 negative-sampling table (word2vec convention). */
-  private def buildNegTable(csr: Csr, size: Int, seed: Long): Array[Int] = {
-    val n = csr.rows
-    val w = Array.tabulate(n)(i => math.pow(math.max(csr.rowLength(i), 1), 0.75))
+  /** Unigram^0.75 negative-sampling table (word2vec convention) over
+    * per-node counts, each floored at 1: node i fills a share of the
+    * 2²⁰ slots proportional to max(counts(i), 1)^0.75.
+    */
+  private[baselines] def unigramTable(counts: Array[Double]): Array[Int] = {
+    val n = counts.length
+    val size = 1 << 20
+    val w = counts.map(c => math.pow(math.max(c, 1.0), 0.75))
     val total = w.sum
     val table = new Array[Int](size)
     var node = 0
@@ -127,21 +131,7 @@ object APPLite {
     // word2vec convention: negatives ∝ (target frequency)^0.75 — here the
     // in-degree, since targets are walk *endpoints*. Uniform negatives
     // would net-penalize popular targets and invert the ranking.
-    val negTable = {
-      val w = Array.tabulate(n)(i => math.pow(math.max(g.inDeg(i), 1.0), 0.75))
-      val totalW = w.sum
-      val size = 1 << 20
-      val table = new Array[Int](size)
-      var node = 0
-      var cum = w(0) / totalW
-      var i = 0
-      while (i < size) {
-        table(i) = node
-        if (i.toDouble / size > cum && node < n - 1) { node += 1; cum += w(node) / totalW }
-        i += 1
-      }
-      table
-    }
+    val negTable = DeepWalkLite.unigramTable(g.inDeg)
     val total = n.toLong * samplesPerNode
     var done = 0L
     for (s <- 1 to samplesPerNode; u <- 0 until n) {

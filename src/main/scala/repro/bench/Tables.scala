@@ -9,7 +9,7 @@ import repro.graph.Generators.LabeledGraph
 import repro.ppr.ExactPPR
 
 /** One runner per reproduced exhibit (see DESIGN.md §4 / EXPERIMENTS.md).
-  * Each prints the table it regenerates; bench suites and `jobs/` mains
+  * Each prints the table it regenerates; bench suites and `Jobs.main`
   * both call these. Embeddings are cached per (dataset, method, k) within
   * the JVM so T5/T6 reuse T4's k=64 runs.
   */
@@ -97,22 +97,25 @@ object Tables {
     // non-scaling methods on its large graphs)
     for ((name, lg) <- Harness.mediumDatasets(spark))
       runOn(name, lg.graph, Seq(Methods.nrp, Methods.arope, Methods.randne), Seq(mediumK))
-    printPerDataset("T4 (Fig. 4): link prediction AUC vs k", results.toSeq, "AUC")
+    printPivot("T4 (Fig. 4): link prediction AUC vs k", results.toSeq)(k => s"AUC@k=$k")
     results.toSeq
   }
 
-  private def printPerDataset(title: String, rows: Seq[(String, String, Int, Double)],
-                              metric: String): Unit = {
+  /** Print one table per dataset from (dataset, method, column, value)
+    * rows: a row per method in [[Methods.all]] order, a column per distinct
+    * column key in ascending order, "-" where a method has no value.
+    */
+  private def printPivot[C: Ordering](title: String, rows: Seq[(String, String, C, Double)])
+                                     (header: C => String): Unit =
     rows.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (ds, rs) =>
-      val ks = rs.map(_._3).distinct.sorted
-      val byMethod = rs.groupBy(_._2)
-      val table = byMethod.toSeq.sortBy { case (m, _) => Methods.all.indexWhere(_.name == m) }
+      val cols = rs.map(_._3).distinct.sorted
+      val table = rs.groupBy(_._2).toSeq
+        .sortBy { case (m, _) => Methods.all.indexWhere(_.name == m) }
         .map { case (m, mrs) =>
-          m +: ks.map(k => mrs.find(_._3 == k).map(r => Harness.f3(r._4)).getOrElse("-"))
+          m +: cols.map(c => mrs.find(_._3 == c).map(r => Harness.f3(r._4)).getOrElse("-"))
         }
-      Harness.printTable(s"$title — $ds", "method" +: ks.map(k => s"$metric@k=$k"), table)
+      Harness.printTable(s"$title — $ds", "method" +: cols.map(header), table)
     }
-  }
 
   // ---- T5: Fig. 5 — graph reconstruction precision@K -------------------
 
@@ -127,20 +130,8 @@ object Tables {
       Console.err.println(s"[T5] $name ${m.name} " +
         kTop.map(kk => s"p@$kk=${Harness.f3(prec(kk))}").mkString(" "))
     }
-    rowsByTopK("T5 (Fig. 5): graph reconstruction precision@K (k=" + k + ")", results.toSeq)
+    printPivot(s"T5 (Fig. 5): graph reconstruction precision@K (k=$k)", results.toSeq)(kk => s"prec@$kk")
     results.toSeq
-  }
-
-  private def rowsByTopK(title: String, rows: Seq[(String, String, Int, Double)]): Unit = {
-    rows.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (ds, rs) =>
-      val ks = rs.map(_._3).distinct.sorted
-      val table = rs.groupBy(_._2).toSeq
-        .sortBy { case (m, _) => Methods.all.indexWhere(_.name == m) }
-        .map { case (m, mrs) =>
-          m +: ks.map(k => mrs.find(_._3 == k).map(r => Harness.f3(r._4)).getOrElse("-"))
-        }
-      Harness.printTable(s"$title — $ds", "method" +: ks.map(k => s"prec@$k"), table)
-    }
   }
 
   // ---- T6: Fig. 6 — node classification Micro-F1 vs train fraction -----
@@ -157,15 +148,7 @@ object Tables {
       }
       Console.err.println(s"[T6] $name ${m.name} done")
     }
-    results.toSeq.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (ds, rs) =>
-      val table = rs.groupBy(_._2).toSeq
-        .sortBy { case (m, _) => Methods.all.indexWhere(_.name == m) }
-        .map { case (m, mrs) =>
-          m +: fracs.map(f => mrs.find(_._3 == f).map(r => Harness.f3(r._4)).getOrElse("-"))
-        }
-      Harness.printTable(s"T6 (Fig. 6): node classification Micro-F1 (k=$k) — $ds",
-        "method" +: fracs.map(f => s"train=$f"), table)
-    }
+    printPivot(s"T6 (Fig. 6): node classification Micro-F1 (k=$k)", results.toSeq)(f => s"train=$f")
     results.toSeq
   }
 
@@ -186,7 +169,7 @@ object Tables {
       results += (("twitter-lite", m.name, 64, secs))
       Console.err.println(s"[T7] twitter-lite ${m.name} ${Harness.f1(secs)}s")
     }
-    printPerDataset("T7 (Fig. 7): embedding construction time (seconds) vs k", results.toSeq, "sec")
+    printPivot("T7 (Fig. 7): embedding construction time (seconds) vs k", results.toSeq)(k => s"sec@k=$k")
     results.toSeq
   }
 
@@ -206,36 +189,28 @@ object Tables {
     for (((name, lg), dsIdx) <- Harness.smallDatasets(spark).zipWithIndex) {
       val s = LinkPrediction.split(lg.graph, 0.3, seed = 1)
       s.train.edges.count()
-      val kPrime = k / 2
-      def aucOf(r: NRP.Result): Double = LinkPrediction.auc(Emb(r.x, r.y), s)
+      val params = NRP.Params(k = k)
+      /** Time one embedding run end to end and record its AUC. */
+      def point(param: String, value: Double)(run: => Emb): Unit = {
+        val (emb, secs) = Harness.timed(run)
+        out += SweepPoint(name, param, value, LinkPrediction.auc(emb, s), secs)
+      }
+      def nrpEmb(r: NRP.Result): Emb = Emb(r.x, r.y)
 
-      // α and ε need a full NRP run per value — sweep them on the first
-      // dataset only (the ℓ₁/ℓ₂ sweeps below share one run per dataset).
+      // α and ε sweeps on the first dataset only.
       if (dsIdx == 0) {
-        for (a <- alphas) {
-          val (r, secs) = Harness.timed(NRP(s.train, NRP.Params(k = k, alpha = a)))
-          out += SweepPoint(name, "alpha", a, aucOf(r), secs)
-        }
-        for (e <- epss) {
-          val (r, secs) = Harness.timed(NRP(s.train, NRP.Params(k = k, eps = e)))
-          out += SweepPoint(name, "eps", e, aucOf(r), secs)
-        }
+        for (a <- alphas) point("alpha", a)(nrpEmb(NRP(s.train, params.copy(alpha = a))))
+        for (e <- epss) point("eps", e)(nrpEmb(NRP(s.train, params.copy(eps = e))))
       }
-      // ℓ₁ sweep: one BKSVD + one iteration chain, snapshots at each ℓ₁.
-      val (embByL1, sweepSecs) = Harness.timed(ApproxPPR.sweep(s.train, kPrime, 0.15, l1s))
-      for (l1 <- l1s) {
-        val e = embByL1(l1)
-        val (r, wSecs) = Harness.timed(NRP.reweight(s.train, e.x, e.y, NRP.Params(k = k)))
-        out += SweepPoint(name, "l1", l1, aucOf(r), sweepSecs * l1.toDouble / l1s.max + wSecs)
+      for (l1 <- l1s) point("l1", l1) {
+        val e = ApproxPPR(s.train, k / 2, params.alpha, l1, params.eps, params.seed)
+        nrpEmb(NRP.reweight(s.train, e.x, e.y, params))
       }
-      // ℓ₂ sweep: one descent, snapshots at each ℓ₂.
-      val base = embByL1(20)
-      val (byL2, descentSecs) = Harness.timed(
-        NRP.reweightSweep(s.train, base.x.map(_.clone()), base.y.map(_.clone()),
-          NRP.Params(k = k), l2s))
-      for (l2 <- l2s) {
-        out += SweepPoint(name, "l2", l2, aucOf(byL2(l2)),
-          sweepSecs + descentSecs * (if (l2s.max > 0) l2.toDouble / l2s.max else 0.0))
+      // ℓ₂ = 0 is reweighting disabled: the plain ApproxPPR embedding, as
+      // Fig. 8d reads it.
+      for (l2 <- l2s) point("l2", l2) {
+        val e = ApproxPPR(s.train, k / 2, params.alpha, params.l1, params.eps, params.seed)
+        if (l2 == 0) Emb(e.x, e.y) else nrpEmb(NRP.reweight(s.train, e.x, e.y, params.copy(l2 = l2)))
       }
       Console.err.println(s"[T8] $name sweeps done")
     }
@@ -271,11 +246,8 @@ object Tables {
         Console.err.println(s"[T9] $name ${m.name} auc=${Harness.f3(auc)}")
       }
     }
-    results.toSeq.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (ds, rs) =>
-      Harness.printTable(s"T9 (Fig. 9 / Table 4): evolving-graph link prediction AUC (k=$k) — $ds",
-        Seq("method", "AUC"),
-        rs.sortBy(r => Methods.all.indexWhere(_.name == r._2)).map(r => Seq(r._2, Harness.f3(r._3))))
-    }
+    printPivot(s"T9 (Fig. 9 / Table 4): evolving-graph link prediction AUC (k=$k)",
+      results.toSeq.map { case (ds, m, auc) => (ds, m, "AUC", auc) })(identity)
     results.toSeq
   }
 

@@ -23,29 +23,17 @@ object ApproxPPR {
   }
 
   def apply(g: Graph, kPrime: Int, alpha: Double = 0.15, l1: Int = 20,
-            eps: Double = 0.2, seed: Long = 20): LocalEmb =
-    sweep(g, kPrime, alpha, Seq(l1), eps, seed)(l1)
-
-  /** Run one BKSVD + iteration chain and snapshot the embeddings at every
-    * requested ℓ₁ — an ℓ₁-sweep (Fig. 8c / 11a) for the price of one run.
-    */
-  def sweep(g: Graph, kPrime: Int, alpha: Double, l1Values: Seq[Int],
-            eps: Double = 0.2, seed: Long = 20): Map[Int, LocalEmb] = {
-    require(l1Values.nonEmpty && l1Values.min >= 1, s"every l1 must be >= 1, got $l1Values")
+            eps: Double = 0.2, seed: Long = 20): LocalEmb = {
+    require(l1 >= 1, s"l1 must be >= 1, got $l1")
     val svd = BKSVD(g, kPrime, eps, seed)
     val sqrtSigma = svd.sigma.map(math.sqrt)
     val inv = g.invOutDeg
     val x1 = Array.tabulate(svd.u.length, kPrime)((u, j) => svd.u(u)(j) * sqrtSigma(j) * inv(u))
     val y = Array.tabulate(svd.v.length, kPrime)((v, j) => svd.v(v)(j) * sqrtSigma(j))
     val p = g.adjacency.scaleRows(inv)
-    val want = l1Values.toSet
-    val out = Map.newBuilder[Int, LocalEmb]
     var x = x1
-    for (i <- 1 to l1Values.max) {
-      // Xᵢ = (1−α)·P·Xᵢ₋₁ + X₁
-      if (i > 1) x = x1.zip(p.mult(x)).map { case (a, b) => Dense.axpy(a, 1 - alpha, b) }
-      if (want(i)) out += i -> LocalEmb(x.map(Dense.scale(_, alpha * (1 - alpha))), y)
-    }
-    out.result()
+    // Xᵢ = (1−α)·P·Xᵢ₋₁ + X₁
+    for (_ <- 2 to l1) x = x1.zip(p.mult(x)).map { case (a, b) => Dense.axpy(a, 1 - alpha, b) }
+    LocalEmb(x.map(Dense.scale(_, alpha * (1 - alpha))), y)
   }
 }

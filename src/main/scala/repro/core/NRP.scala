@@ -35,8 +35,8 @@ object NRP {
     reweight(g, emb.x, emb.y, params)
   }
 
-  /** The reweighting stage alone, given ApproxPPR's output — lets the
-    * parameter-sweep benches share one ApproxPPR run across ℓ₂ values.
+  /** The reweighting stage alone, given ApproxPPR's output (ℓ₂ = 0 gives
+    * ApproxPPR scaled by the initial weights).
     */
   def reweight(g: Graph, x0: Array[Array[Double]], y0: Array[Array[Double]],
                params: Params): Result = {
@@ -57,39 +57,4 @@ object NRP {
     }
     Result(x, y, w)
   }
-
-  /** Run the descent once but snapshot the rescaled embeddings at every
-    * requested ℓ₂ — an ℓ₂-sweep (Fig. 8d / 11b) for the price of one run.
-    * ℓ₂ = 0 means "reweighting disabled": per the paper's reading of
-    * Fig. 8d it is the *plain ApproxPPR* embedding (unit weights), not the
-    * descent initialization.
-    */
-  def reweightSweep(g: Graph, x0: Array[Array[Double]], y0: Array[Array[Double]],
-                    params: Params, l2Values: Seq[Int]): Map[Int, Result] = {
-    val n = g.n.toInt
-    val w = NodeWeights.init(g.outDeg)
-    val rng = new Random(params.seed)
-    val want = l2Values.toSet
-    val out = scala.collection.mutable.Map.empty[Int, Result]
-    def snapshot(epoch: Int): Unit = if (want(epoch)) {
-      if (epoch == 0) {
-        val unit = Array.fill(n)(1.0)
-        out(0) = Result(x0.map(_.clone()), y0.map(_.clone()), Weights(unit, unit.clone()))
-      } else {
-        val x = x0.zipWithIndex.map { case (row, v) => row.map(_ * w.wf(v)) }
-        val y = y0.zipWithIndex.map { case (row, v) => row.map(_ * w.wb(v)) }
-        out(epoch) = Result(x, y, Weights(w.wf.clone(), w.wb.clone()))
-      }
-    }
-    snapshot(0)
-    for (epoch <- 1 to l2Values.max) {
-      NodeWeights.updateBwdWeights(x0, y0, g.outDeg, g.inDeg, w, params.lambda, rng)
-      NodeWeights.updateFwdWeights(x0, y0, g.outDeg, g.inDeg, w, params.lambda, rng)
-      snapshot(epoch)
-    }
-    out.toMap
-  }
-
-  private type Weights = NodeWeights.Weights
-  private val Weights = NodeWeights.Weights
 }

@@ -33,10 +33,26 @@ object NodeWeights {
   /** Algorithm 2 — one epoch of backward-weight updates, in place. */
   def updateBwdWeights(x: Array[Array[Double]], y: Array[Array[Double]],
                        dout: Array[Double], din: Array[Double],
-                       w: Weights, lambda: Double, rng: Random): Unit = {
-    val n = x.length
-    val k = x(0).length
-    // Shared aggregates (Eqs. 9, 10, 13) — O(n·k′²) once per epoch.
+                       w: Weights, lambda: Double, rng: Random): Unit =
+    sweep(y, w.wb, din, x, w.wf, dout, lambda, rng)
+
+  /** Algorithm 4 — one epoch of forward-weight updates, in place. */
+  def updateFwdWeights(x: Array[Array[Double]], y: Array[Array[Double]],
+                       dout: Array[Double], din: Array[Double],
+                       w: Weights, lambda: Double, rng: Random): Unit =
+    sweep(x, w.wf, dout, y, w.wb, din, lambda, rng)
+
+  /** One epoch of coordinate descent on the weights `ownW` of the side
+    * whose embeddings are `own`, holding the other side fixed. Written in
+    * Algorithm 2's names (own = Y, d_in, w⃖; other = X, d_out, w⃗);
+    * Algorithm 4 is the same sweep with the roles swapped (Eqs. 23–29).
+    */
+  private def sweep(own: Array[Array[Double]], ownW: Array[Double], ownDeg: Array[Double],
+                    other: Array[Array[Double]], otherW: Array[Double], otherDeg: Array[Double],
+                    lambda: Double, rng: Random): Unit = {
+    val n = own.length
+    val k = own(0).length
+    // Shared aggregates (Eqs. 9, 10, 13 / 24, 25, 28) — O(n·k′²) once per epoch.
     val xi = new Array[Double](k)
     val chi = new Array[Double](k)
     val lam = Array.ofDim[Double](k, k)
@@ -45,10 +61,10 @@ object NodeWeights {
     val phi = new Array[Double](k)
     var u = 0
     while (u < n) {
-      val wfU = w.wf(u); val xu = x(u)
+      val wfU = otherW(u); val xu = other(u)
       var r = 0
       while (r < k) {
-        xi(r) += dout(u) * wfU * xu(r)
+        xi(r) += otherDeg(u) * wfU * xu(r)
         chi(r) += wfU * xu(r)
         phi(r) += wfU * wfU * xu(r) * xu(r)
         r += 1
@@ -60,7 +76,7 @@ object NodeWeights {
         while (q < k) { lam(p)(q) += c * xu(q); q += 1 }
         p += 1
       }
-      val wbU = w.wb(u); val yu = y(u)
+      val wbU = ownW(u); val yu = own(u)
       val xyU = Dense.dot(xu, yu)
       r = 0
       while (r < k) {
@@ -73,105 +89,33 @@ object NodeWeights {
     // Coordinate descent in random order (Algorithm 2, line 4).
     val order = rng.shuffle((0 until n).toVector)
     order.foreach { vStar =>
-      val xv = x(vStar); val yv = y(vStar)
-      val wfV = w.wf(vStar)
+      val xv = other(vStar); val yv = own(vStar)
+      val wfV = otherW(vStar)
       val xyV = Dense.dot(xv, yv)
       val a1 = Dense.dot(xi, yv)
       val chiMinus = Dense.axpy(chi, -wfV, xv)
       val s = Dense.dot(chiMinus, yv)
-      val a2 = din(vStar) * s
+      val a2 = ownDeg(vStar) * s
       val b2 = s * s
       val lamYv = matVec(lam, yv)
-      val a3 = Dense.dot(rho1, lamYv) - w.wb(vStar) * Dense.dot(yv, lamYv) -
-        Dense.dot(rho2, yv) + w.wb(vStar) * xyV * xyV * wfV * wfV
+      val a3 = Dense.dot(rho1, lamYv) - ownW(vStar) * Dense.dot(yv, lamYv) -
+        Dense.dot(rho2, yv) + ownW(vStar) * xyV * xyV * wfV * wfV
       var b1 = 0.0
       var r = 0
       while (r < k) { b1 += yv(r) * yv(r) * (phi(r) - wfV * wfV * xv(r) * xv(r)); r += 1 }
       b1 *= k / 2.0
-      val wOld = w.wb(vStar)
+      val wOld = ownW(vStar)
       // guard the λ=0, zero-row corner: a vanishing denominator must fall
       // back to the 1/n floor, not propagate NaN/∞ into the embeddings
       val cand = (a1 + a2 - a3) / (b1 + b2 + lambda)
       val wNew = if (java.lang.Double.isFinite(cand)) math.max(1.0 / n, cand) else 1.0 / n
-      w.wb(vStar) = wNew
-      // Incremental ρ maintenance (Eq. 11).
+      ownW(vStar) = wNew
+      // Incremental ρ maintenance (Eqs. 11 / 26).
       val delta = wNew - wOld
       r = 0
       while (r < k) {
         rho1(r) += delta * yv(r)
         rho2(r) += delta * wfV * wfV * xyV * xv(r)
-        r += 1
-      }
-    }
-  }
-
-  /** Algorithm 4 — one epoch of forward-weight updates, in place. */
-  def updateFwdWeights(x: Array[Array[Double]], y: Array[Array[Double]],
-                       dout: Array[Double], din: Array[Double],
-                       w: Weights, lambda: Double, rng: Random): Unit = {
-    val n = x.length
-    val k = x(0).length
-    // Shared aggregates (Eqs. 24, 25, 28).
-    val xi = new Array[Double](k)
-    val chi = new Array[Double](k)
-    val lam = Array.ofDim[Double](k, k)
-    val rho1 = new Array[Double](k)
-    val rho2 = new Array[Double](k)
-    val phi = new Array[Double](k)
-    var v = 0
-    while (v < n) {
-      val wbV = w.wb(v); val yv = y(v)
-      var r = 0
-      while (r < k) {
-        xi(r) += din(v) * wbV * yv(r)
-        chi(r) += wbV * yv(r)
-        phi(r) += wbV * wbV * yv(r) * yv(r)
-        r += 1
-      }
-      var p = 0
-      while (p < k) {
-        val c = wbV * wbV * yv(p)
-        var q = 0
-        while (q < k) { lam(p)(q) += c * yv(q); q += 1 }
-        p += 1
-      }
-      val wfV = w.wf(v); val xv = x(v)
-      val xyV = Dense.dot(xv, yv)
-      r = 0
-      while (r < k) {
-        rho1(r) += wfV * xv(r)
-        rho2(r) += wfV * wbV * wbV * xyV * yv(r)
-        r += 1
-      }
-      v += 1
-    }
-    val order = rng.shuffle((0 until n).toVector)
-    order.foreach { uStar =>
-      val xu = x(uStar); val yu = y(uStar)
-      val wbU = w.wb(uStar)
-      val xyU = Dense.dot(xu, yu)
-      val a1 = Dense.dot(xu, xi)
-      val chiMinus = Dense.axpy(chi, -wbU, yu)
-      val s = Dense.dot(xu, chiMinus)
-      val a2 = dout(uStar) * s
-      val b2 = s * s
-      val lamXu = matVec(lam, xu)
-      val a3 = Dense.dot(rho1, lamXu) - w.wf(uStar) * Dense.dot(xu, lamXu) -
-        Dense.dot(rho2, xu) + wbU * wbU * xyU * xyU * w.wf(uStar)
-      var b1 = 0.0
-      var r = 0
-      while (r < k) { b1 += xu(r) * xu(r) * (phi(r) - wbU * wbU * yu(r) * yu(r)); r += 1 }
-      b1 *= k / 2.0
-      val wOld = w.wf(uStar)
-      val cand = (a1 + a2 - a3) / (b1 + b2 + lambda)
-      val wNew = if (java.lang.Double.isFinite(cand)) math.max(1.0 / n, cand) else 1.0 / n
-      w.wf(uStar) = wNew
-      // Incremental ρ maintenance (Eq. 26).
-      val delta = wNew - wOld
-      r = 0
-      while (r < k) {
-        rho1(r) += delta * xu(r)
-        rho2(r) += delta * wbU * wbU * xyU * yu(r)
         r += 1
       }
     }

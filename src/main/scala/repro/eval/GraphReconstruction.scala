@@ -20,7 +20,7 @@ object GraphReconstruction {
                    seed: Long = 9): Map[Int, Double] = {
     val n = g.n.toInt
     val maxK = ks.max
-    val edgeSet = collectEdgeSet(g)
+    val adj = g.adjacency
     val nThreads = Runtime.getRuntime.availableProcessors()
     val heaps = Array.fill(nThreads)(new BoundedTopK(maxK))
     java.util.stream.IntStream.range(0, n).parallel().forEach { u =>
@@ -36,17 +36,11 @@ object GraphReconstruction {
     }
     val top = heaps.flatMap(_.drain()).sortBy(-_._1).take(maxK)
     ks.map { k =>
-      val hits = top.iterator.take(k).count { case (_, code) => edgeSet.contains(code) }
+      val hits = top.iterator.take(k).count { case (_, code) =>
+        adj.contains((code / n).toInt, (code % n).toInt)
+      }
       k -> hits.toDouble / k
     }.toMap
-  }
-
-  /** Edge set encoded as src·n + dst (fits a Long for our n). */
-  def collectEdgeSet(g: Graph): java.util.HashSet[Long] = {
-    val n = g.n
-    val set = new java.util.HashSet[Long]()
-    g.edges.collect().foreach(r => set.add(r.getLong(0) * n + r.getLong(1)))
-    set
   }
 
   /** Fixed-capacity min-heap of (score, payload) keeping the largest. */

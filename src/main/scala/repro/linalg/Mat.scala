@@ -80,6 +80,10 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
   /** Number of stored entries in row i (the out-degree of an adjacency row). */
   def rowLength(i: Int): Int = offsets(i + 1) - offsets(i)
 
+  /** Whether position (i, j) holds a stored entry (binary search of row i). */
+  def contains(i: Int, j: Int): Boolean =
+    java.util.Arrays.binarySearch(colIdx, offsets(i), offsets(i + 1), j) >= 0
+
   /** Row-parallel `M · B`. */
   def mult(b: Array[Array[Double]]): Array[Array[Double]] = {
     val k = Mat.width(b)

@@ -68,19 +68,6 @@ class ApproxPPRSpec extends SparkSpec {
     assert(e20 < e2, s"l1=2 err=$e2, l1=20 err=$e20")
   }
 
-  test("sweep snapshots match standalone runs at each l1") {
-    val g = Generators.example9(spark)
-    val sw = ApproxPPR.sweep(g, kPrime = 4, alpha = 0.15, l1Values = Seq(3, 7), eps = 0.2)
-    for (l1 <- Seq(3, 7)) {
-      val standalone = ApproxPPR(g, 4, 0.15, l1, 0.2)
-      val fromSweep = sw(l1)
-      for (i <- 0 until 9; j <- 0 until 4) {
-        assert(math.abs(standalone.x(i)(j) - fromSweep.x(i)(j)) < 1e-8, s"x($i)($j) l1=$l1")
-        assert(math.abs(standalone.y(i)(j) - fromSweep.y(i)(j)) < 1e-8, s"y($i)($j) l1=$l1")
-      }
-    }
-  }
-
   test("kPrime > n and an edgeless graph give finite n×kPrime embeddings") {
     def finiteShape(e: ApproxPPR.LocalEmb, n: Int, k: Int): Unit =
       for (m <- Seq(e.x, e.y))

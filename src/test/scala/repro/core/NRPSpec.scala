@@ -65,23 +65,6 @@ class NRPSpec extends SparkSpec {
     }
   }
 
-  test("reweightSweep epoch snapshots match standalone runs; epoch 0 is plain ApproxPPR") {
-    val plain = ApproxPPR(g9, kPrime = 4, alpha = 0.15, l1 = 20, eps = 0.2)
-    val sweep = NRP.reweightSweep(g9, plain.x.map(_.clone()), plain.y.map(_.clone()),
-      NRP.Params(k = 8, l2 = 10), Seq(0, 3, 10))
-    for (l2 <- Seq(3, 10)) {
-      val solo = NRP.reweight(g9, plain.x, plain.y, NRP.Params(k = 8, l2 = l2))
-      for (v <- 0 until 9; j <- 0 until 4) {
-        assert(math.abs(sweep(l2).x(v)(j) - solo.x(v)(j)) < 1e-9, s"l2=$l2 x($v)($j)")
-        assert(math.abs(sweep(l2).y(v)(j) - solo.y(v)(j)) < 1e-9, s"l2=$l2 y($v)($j)")
-      }
-    }
-    for (v <- 0 until 9; j <- 0 until 4) {
-      assert(sweep(0).x(v)(j) == plain.x(v)(j), s"epoch-0 x($v)($j)")
-      assert(sweep(0).y(v)(j) == plain.y(v)(j), s"epoch-0 y($v)($j)")
-    }
-  }
-
   test("NRP runs on a directed DC-SBM graph and stays finite") {
     val g = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
     val r = NRP(g, NRP.Params(k = 16, l1 = 10, l2 = 3))

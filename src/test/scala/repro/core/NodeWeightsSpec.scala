@@ -28,7 +28,7 @@ class NodeWeightsSpec extends AnyFunSuite {
   }
 
   /** Recompute the accelerated backward terms for a single node from the
-    * epoch aggregates, mirroring updateBwdWeights' inner loop.
+    * epoch aggregates, mirroring the shared sweep's backward inner loop.
     */
   private def fastBwdTerms(x: Array[Array[Double]], y: Array[Array[Double]],
                            dout: Array[Double], din: Array[Double],
@@ -167,28 +167,39 @@ class NodeWeightsSpec extends AnyFunSuite {
     assert(after < before, s"objective did not decrease: $before -> $after")
   }
 
-  test("incremental rho maintenance matches recomputation after an epoch") {
-    // Run one epoch with the production code, then recompute rho1/rho2 from
-    // scratch with the final weights and compare the *final weight vector*
-    // against an epoch run that recomputes aggregates before each node.
-    val (x, y, dout, din, w0) = randomInstance(19)
-    val wIncr = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
-    NodeWeights.updateBwdWeights(x, y, dout, din, wIncr, lambda = 5, new Random(42))
+  // Both directions of the shared sweep against their own naive terms;
+  // for the forward sweep (Algorithm 4) b1Middle is read with the roles
+  // of (X, w⃗) and (Y, w⃖) swapped.
+  for (forward <- Seq(false, true))
+    test("incremental rho maintenance matches recomputation after an epoch" +
+        (if (forward) " (forward sweep)" else "")) {
+      // Run one epoch with the production code, then compare the *final
+      // weight vector* against an epoch run that recomputes aggregates
+      // before each node.
+      val (x, y, dout, din, w0) = randomInstance(19)
+      val wIncr = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
+      if (forward) NodeWeights.updateFwdWeights(x, y, dout, din, wIncr, lambda = 5, new Random(42))
+      else NodeWeights.updateBwdWeights(x, y, dout, din, wIncr, lambda = 5, new Random(42))
 
-    // Reference: identical update order, naive per-node recomputation with
-    // the *approximated* b1 (to isolate the rho bookkeeping).
-    val wRef = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
-    val order = new Random(42).shuffle((0 until n).toVector)
-    order.foreach { vStar =>
-      val (a1, a2, a3, _, b2) = NodeWeights.naiveBwdTerms(x, y, dout, din, wRef, vStar)
-      val mid = NodeWeights.b1Middle(x, y, wRef, vStar)
-      val b1 = k / 2.0 * mid
-      wRef.wb(vStar) = math.max(1.0 / n, (a1 + a2 - a3) / (b1 + b2 + 5))
+      // Reference: identical update order, naive per-node recomputation with
+      // the *approximated* b1 (to isolate the rho bookkeeping).
+      val wRef = NodeWeights.Weights(w0.wf.clone(), w0.wb.clone())
+      val (ref, incr) = if (forward) (wRef.wf, wIncr.wf) else (wRef.wb, wIncr.wb)
+      val order = new Random(42).shuffle((0 until n).toVector)
+      order.foreach { i =>
+        val (a1, a2, a3, _, b2) =
+          if (forward) NodeWeights.naiveFwdTerms(x, y, dout, din, wRef, i)
+          else NodeWeights.naiveBwdTerms(x, y, dout, din, wRef, i)
+        val mid =
+          if (forward) NodeWeights.b1Middle(y, x, NodeWeights.Weights(wRef.wb, wRef.wf), i)
+          else NodeWeights.b1Middle(x, y, wRef, i)
+        val b1 = k / 2.0 * mid
+        ref(i) = math.max(1.0 / n, (a1 + a2 - a3) / (b1 + b2 + 5))
+      }
+      for (v <- 0 until n)
+        assert(math.abs(incr(v) - ref(v)) < 1e-8,
+          s"weight($v): incr=${incr(v)} ref=${ref(v)}")
     }
-    for (v <- 0 until n)
-      assert(math.abs(wIncr.wb(v) - wRef.wb(v)) < 1e-8,
-        s"wb($v): incr=${wIncr.wb(v)} ref=${wRef.wb(v)}")
-  }
 
   test("init clamps dangling nodes to the 1/n floor") {
     val w = NodeWeights.init(Array(0.0, 3.0, 1.0))

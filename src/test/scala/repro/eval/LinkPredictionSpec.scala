@@ -104,13 +104,12 @@ class LinkPredictionSpec extends SparkSpec {
 
   test("auc of an oracle embedding that memorizes edges is high") {
     val s = LinkPrediction.split(sbm, 0.3, seed = 5)
-    val n = sbm.n.toInt
-    val edgeSet = GraphReconstruction.collectEdgeSet(sbm)
+    val adj = sbm.adjacency
     // fake embedding via score function: wrap a lookup in Emb-compatible arrays
     val pos = LinkPrediction.collectPairs(s.testPos)
-      .map { case (u, v) => (if (edgeSet.contains(u.toLong * n + v)) 1.0 else 0.0, 1) }
+      .map { case (u, v) => (if (adj.contains(u, v)) 1.0 else 0.0, 1) }
     val neg = LinkPrediction.collectPairs(s.testNeg)
-      .map { case (u, v) => (if (edgeSet.contains(u.toLong * n + v)) 1.0 else 0.0, 0) }
+      .map { case (u, v) => (if (adj.contains(u, v)) 1.0 else 0.0, 0) }
     assert(LinkPrediction.aucLocal(pos ++ neg) > 0.99)
   }
 
