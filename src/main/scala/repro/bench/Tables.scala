@@ -236,9 +236,9 @@ object Tables {
     val datasets = Seq("vk-lite" -> Generators.vkLite(spark), "digg-lite" -> Generators.diggLite(spark))
     val results = scala.collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     for ((name, ev) <- datasets) {
-      val nPos = ev.newEdges.count()
-      val neg = LinkPrediction.sampleNonEdges(spark, ev.full, nPos, seed = 5)
-      val split = LinkPrediction.Split(ev.old, ev.newEdges, neg)
+      val pos = LinkPrediction.pairs(ev.newEdges)
+      val neg = LinkPrediction.sampleNonEdges(spark, ev.full, pos.length, seed = 5)
+      val split = LinkPrediction.Split(ev.old, pos, neg)
       for (m <- Methods.mediumSet) {
         val (emb, _) = embed(s"$name-old", ev.old, m, k)
         val auc = LinkPrediction.auc(emb, split)

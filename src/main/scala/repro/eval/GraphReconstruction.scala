@@ -15,7 +15,10 @@ import repro.graph.Graph
   */
 object GraphReconstruction {
 
-  /** precision@K for each requested K (evaluated on one merged ranking). */
+  /** precision@K for each requested K (evaluated on one merged ranking).
+    * Pairs rank by score, ties by the lower pair code u·n+v, so the top K
+    * does not depend on how rows are spread over threads.
+    */
   def precisionAtK(emb: Emb, g: Graph, ks: Seq[Int], sampleFrac: Double = 1.0,
                    seed: Long = 9): Map[Int, Double] = {
     val n = g.n.toInt
@@ -23,18 +26,22 @@ object GraphReconstruction {
     val adj = g.adjacency
     val nThreads = Runtime.getRuntime.availableProcessors()
     val heaps = Array.fill(nThreads)(new BoundedTopK(maxK))
-    java.util.stream.IntStream.range(0, n).parallel().forEach { u =>
-      val heap = heaps((u % nThreads + nThreads) % nThreads)
-      val rng = if (sampleFrac < 1.0) new scala.util.Random(seed * 1000003L + u) else null
-      var v = 0
-      while (v < n) {
-        if (v != u && (sampleFrac >= 1.0 || rng.nextDouble() < sampleFrac)) {
-          heap.synchronized { heap.offer(emb.score(u, v), u.toLong * n + v) }
+    // worker t owns heaps(t) and the rows u ≡ t (mod nThreads): no lock
+    java.util.stream.IntStream.range(0, nThreads).parallel().forEach { t =>
+      val heap = heaps(t)
+      var u = t
+      while (u < n) {
+        val rng = if (sampleFrac < 1.0) new scala.util.Random(seed * 1000003L + u) else null
+        var v = 0
+        while (v < n) {
+          if (v != u && (sampleFrac >= 1.0 || rng.nextDouble() < sampleFrac))
+            heap.offer(emb.score(u, v), u.toLong * n + v)
+          v += 1
         }
-        v += 1
+        u += nThreads
       }
     }
-    val top = heaps.flatMap(_.drain()).sortBy(-_._1).take(maxK)
+    val top = heaps.flatMap(_.drain()).sorted(BoundedTopK.ranking).take(maxK)
     ks.map { k =>
       val hits = top.iterator.take(k).count { case (_, code) =>
         adj.contains((code / n).toInt, (code % n).toInt)
@@ -43,18 +50,29 @@ object GraphReconstruction {
     }.toMap
   }
 
-  /** Fixed-capacity min-heap of (score, payload) keeping the largest. */
+  /** Fixed-capacity heap of (score, payload) keeping the `capacity` offers
+    * that come first in `BoundedTopK.ranking`.
+    */
   final class BoundedTopK(capacity: Int) {
+    // head = the kept offer that ranks last
     private val pq = new java.util.PriorityQueue[(Double, Long)](
-      math.max(capacity, 1), (a: (Double, Long), b: (Double, Long)) => java.lang.Double.compare(a._1, b._1))
+      math.max(capacity, 1), BoundedTopK.ranking.reverse)
     def offer(score: Double, payload: Long): Unit = {
       if (pq.size < capacity) pq.offer((score, payload))
-      else if (pq.peek()._1 < score) { pq.poll(); pq.offer((score, payload)) }
+      else if (BoundedTopK.ranking.lt((score, payload), pq.peek())) { pq.poll(); pq.offer((score, payload)) }
     }
     def drain(): Seq[(Double, Long)] = {
       val buf = scala.collection.mutable.ArrayBuffer.empty[(Double, Long)]
       while (!pq.isEmpty) buf += pq.poll()
       buf.toSeq
+    }
+  }
+
+  object BoundedTopK {
+    /** Higher score first; equal scores by lower payload. */
+    val ranking: Ordering[(Double, Long)] = (a, b) => {
+      val c = java.lang.Double.compare(b._1, a._1)
+      if (c != 0) c else java.lang.Long.compare(a._2, b._2)
     }
   }
 }

@@ -14,9 +14,10 @@ import repro.graph.Graph
 object LinkPrediction {
 
   /** `train` is the residual graph G′; `testPos`/`testNeg` are (src,dst)
-    * DataFrames of equal size.
+    * pairs of equal size, collected to the driver once, when the split is
+    * made, so that scoring an embedding runs no Spark job.
     */
-  final case class Split(train: Graph, testPos: DataFrame, testNeg: DataFrame)
+  final case class Split(train: Graph, testPos: Array[(Int, Int)], testNeg: Array[(Int, Int)])
 
   def split(g: Graph, removeFrac: Double = 0.3, seed: Int = 1): Split = {
     val spark = g.spark
@@ -32,50 +33,53 @@ object LinkPrediction {
       if (g.directed) removedAll
       else removedAll.filter(col("src") < col("dst"))
     val train = Graph.fromEdges(spark, kept, g.n, g.directed)
-    val pos = removed.cache()
-    val nPos = pos.count()
-    val neg = sampleNonEdges(spark, g, nPos, seed).cache()
-    Split(train, pos, neg)
+    val pos = pairs(removed)
+    Split(train, pos, sampleNonEdges(spark, g, pos.length, seed))
   }
 
   /** Uniform non-edge sample of the requested size: over-generate random
     * pairs, drop self-pairs, anti-join the full edge set, dedup, limit.
+    * Throws `IllegalStateException` when even a 48× over-draw finds fewer
+    * than `count` non-edges (a near-complete graph).
     */
-  def sampleNonEdges(spark: SparkSession, g: Graph, count: Long, seed: Int): DataFrame = {
+  def sampleNonEdges(spark: SparkSession, g: Graph, count: Long, seed: Int): Array[(Int, Int)] = {
     val n = g.n
     val want = math.max(count, 1L)
     var factor = 3L
-    var result: DataFrame = null
-    var got = 0L
-    while (got < want && factor <= 48) {
+    var result = Array.empty[(Int, Int)]
+    while (result.length < want && factor <= 48) {
       val cand = spark.range(want * factor).select(
         (rand(seed + factor) * n).cast("long").as("src"),
         (rand(seed + factor + 1000) * n).cast("long").as("dst"))
         .filter(col("src") =!= col("dst"))
       val canon = if (g.directed) cand
         else cand.select(least(col("src"), col("dst")).as("src"), greatest(col("src"), col("dst")).as("dst"))
-      result = canon.distinct()
+      // collected through the cache: the cached plan fixes which rows the limit keeps
+      val sample = canon.distinct()
         .join(g.edges, Seq("src", "dst"), "left_anti")
         .limit(want.toInt)
         .cache()
-      got = result.count()
+      result = pairs(sample)
+      sample.unpersist()
       factor *= 2
     }
+    if (result.length < want)
+      throw new IllegalStateException(
+        s"sampleNonEdges wanted $want non-edges but found ${result.length} after a ${factor / 2}× over-draw")
     result
   }
 
   /** Score every test pair with `x(u)·y(v)` and compute AUC. */
-  def auc(emb: Emb, s: Split): Double = {
-    val pos = collectPairs(s.testPos).map { case (u, v) => (emb.score(u, v), 1) }
-    val neg = collectPairs(s.testNeg).map { case (u, v) => (emb.score(u, v), 0) }
-    aucLocal(pos ++ neg)
-  }
+  def auc(emb: Emb, s: Split): Double =
+    aucLocal(s.testPos.map { case (u, v) => (emb.score(u, v), 1) } ++
+      s.testNeg.map { case (u, v) => (emb.score(u, v), 0) })
 
-  def collectPairs(df: DataFrame): Seq[(Int, Int)] =
-    df.collect().toSeq.map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+  /** The (src, dst) rows of a DataFrame, collected to the driver. */
+  def pairs(df: DataFrame): Array[(Int, Int)] =
+    df.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
 
   /** Rank-based AUC (Mann–Whitney) with average ranks for ties. */
-  def aucLocal(scored: Seq[(Double, Int)]): Double = {
+  def aucLocal(scored: Iterable[(Double, Int)]): Double = {
     val sorted = scored.toArray.sortBy(_._1) // array: O(1) indexing below
     val nP = sorted.count(_._2 == 1).toDouble
     val nN = sorted.length - nP

@@ -121,11 +121,15 @@ object Generators {
 
   // ---- Named dataset substitutes (DESIGN.md §3) ------------------------
 
-  /** wiki-lite: directed DC-SBM, n=3 000, ~60 K directed edges, 8 labels. */
+  /** wiki-lite: directed DC-SBM, n=3 000, m=39 173 directed edges, 8 labels
+    * (m as measured under `local[4]`; `rand` draws follow the partition count).
+    */
   def wikiLite(spark: SparkSession): LabeledGraph =
     dcsbm(spark, n = 3000, avgDeg = 20, numLabels = 8, directed = true, seed = 101)
 
-  /** blog-lite: undirected DC-SBM, n=4 000, ~80 K (directed-pair) edges, 8 labels. */
+  /** blog-lite: undirected DC-SBM, n=4 000, m=61 372 directed-pair edges
+    * (30 686 undirected), 8 labels (m as measured under `local[4]`).
+    */
   def blogLite(spark: SparkSession): LabeledGraph =
     dcsbm(spark, n = 4000, avgDeg = 10, numLabels = 8, directed = false, seed = 102)
 

@@ -59,6 +59,31 @@ class GraphReconstructionSpec extends SparkSpec {
       "scores" -> scores, "edges" -> g.edges)
   }
 
+  test("tied scores break by the lower pair code, as the DuckDB top-K does") {
+    // x(3) = x(4) is the only large row, so (3,4) and (4,3) tie for the top
+    // score under the symmetric Emb(x, x); only (3,4) is an edge, and K = 1
+    // falls between them.
+    val n = 6
+    val g = Graph.fromLocal(spark, Seq((3L, 4L), (0L, 1L), (1L, 2L), (5L, 0L)), n = n, directed = true)
+    val x = Array.tabulate(n)(i => if (i == 3 || i == 4) Array(1.0, 0.0) else Array(0.0, 0.1 * i))
+    val emb = Emb(x, x)
+    assert(emb.score(3, 4) == emb.score(4, 3))
+    val kTop = 1
+    val prec = GraphReconstruction.precisionAtK(emb, g, Seq(kTop))(kTop)
+    import spark.implicits._
+    val scores = (for (u <- 0 until n; v <- 0 until n if u != v)
+      yield (u.toLong, v.toLong, emb.score(u, v))).toDF("src", "dst", "score")
+    Oracle.assertEquivalent(Seq(prec).toDF("prec"),
+      s"""SELECT CAST(hits AS DOUBLE) / $kTop AS prec FROM (
+         |  SELECT COUNT(*) AS hits FROM (
+         |    SELECT s.src, s.dst FROM scores s
+         |    ORDER BY CAST(s.score AS DOUBLE) DESC, CAST(s.src AS BIGINT)*$n + CAST(s.dst AS BIGINT)
+         |    LIMIT $kTop
+         |  ) top JOIN edges e ON top.src = e.src AND top.dst = e.dst)""".stripMargin,
+      "scores" -> scores, "edges" -> g.edges)
+    assert(prec == 1.0)
+  }
+
   test("sampling a fraction of pairs still returns all requested Ks") {
     val g = Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 71).graph
     val rng = new scala.util.Random(9)

@@ -1,9 +1,11 @@
 package repro.eval
 
+import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
+import org.apache.spark.sql.DataFrame
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.baselines.Emb
-import repro.graph.Generators
+import repro.graph.{Generators, Graph}
 
 /** Link-prediction protocol tests; query-shaped pieces (split counts,
   * negative sampling, AUC) are DuckDB-oracle-checked.
@@ -14,6 +16,12 @@ class LinkPredictionSpec extends SparkSpec {
   private lazy val und = Generators.dcsbm(spark, n = 300, avgDeg = 4, numLabels = 3,
     directed = false, seed = 62).graph
 
+  /** The driver-side test pairs as a (src, dst) DataFrame, for the oracle checks. */
+  private def pairsDf(pairs: Array[(Int, Int)]): DataFrame = {
+    import spark.implicits._
+    pairs.toSeq.map { case (u, v) => (u.toLong, v.toLong) }.toDF("src", "dst")
+  }
+
   test("split removes roughly 30% of the edges") {
     val s = LinkPrediction.split(sbm, 0.3, seed = 1)
     val frac = 1.0 - s.train.m.toDouble / sbm.m
@@ -22,11 +30,12 @@ class LinkPredictionSpec extends SparkSpec {
 
   test("train and test-positive edges partition the graph (oracle)") {
     val s = LinkPrediction.split(sbm, 0.3, seed = 1)
+    val testPos = pairsDf(s.testPos)
     // no overlap
-    assert(s.train.edges.join(s.testPos, Seq("src", "dst")).count() == 0)
+    assert(s.train.edges.join(testPos, Seq("src", "dst")).count() == 0)
     // union restores the original edge set — checked in DuckDB
     import spark.implicits._
-    val unionCount = Seq(s.train.edges.union(s.testPos).distinct().count()).toDF("c")
+    val unionCount = Seq(s.train.edges.union(testPos).distinct().count()).toDF("c")
     Oracle.assertEquivalent(unionCount,
       "SELECT COUNT(*) AS c FROM (SELECT DISTINCT src, dst FROM full_edges)",
       "full_edges" -> sbm.edges)
@@ -40,24 +49,34 @@ class LinkPredictionSpec extends SparkSpec {
         Seq("src", "dst"), "left_anti")
     assert(missing.count() == 0)
     // positives are canonical pairs
-    assert(s.testPos.filter(col("src") >= col("dst")).count() == 0)
+    assert(pairsDf(s.testPos).filter(col("src") >= col("dst")).count() == 0)
   }
 
   test("negative sample has the same size as the positive sample") {
     val s = LinkPrediction.split(sbm, 0.3, seed = 1)
-    assert(s.testNeg.count() == s.testPos.count())
+    assert(s.testNeg.length == s.testPos.length)
   }
 
   test("negative samples are non-edges and non-self-pairs (oracle)") {
     val s = LinkPrediction.split(sbm, 0.3, seed = 1)
+    val testNeg = pairsDf(s.testNeg)
     import spark.implicits._
     val offending = Seq((
-      s.testNeg.join(sbm.edges, Seq("src", "dst")).count(),
-      s.testNeg.filter(col("src") === col("dst")).count())).toDF("edge_hits", "self_pairs")
+      testNeg.join(sbm.edges, Seq("src", "dst")).count(),
+      testNeg.filter(col("src") === col("dst")).count())).toDF("edge_hits", "self_pairs")
     Oracle.assertEquivalent(
       offending.filter(col("edge_hits") === 0 && col("self_pairs") === 0),
       "SELECT CAST(0 AS BIGINT) AS edge_hits, CAST(0 AS BIGINT) AS self_pairs",
-      "neg" -> s.testNeg)
+      "neg" -> testNeg)
+  }
+
+  test("a graph with too few non-edges fails the sample instead of returning a short one") {
+    // every ordered pair of 6 nodes but (5, 0): one non-edge in all
+    val pairs = for (u <- 0L until 6L; v <- 0L until 6L if u != v && !(u == 5 && v == 0)) yield (u, v)
+    val g = Graph.fromLocal(spark, pairs, n = 6, directed = true)
+    val e = intercept[IllegalStateException](LinkPrediction.sampleNonEdges(spark, g, 5, seed = 1))
+    assert(e.getMessage.contains("wanted 5 non-edges") && e.getMessage.matches(".*found [01] .*"), e.getMessage)
+    intercept[IllegalStateException](LinkPrediction.split(g, 0.3, seed = 1))
   }
 
   test("aucLocal: perfect, inverted, and random scorers") {
@@ -106,10 +125,8 @@ class LinkPredictionSpec extends SparkSpec {
     val s = LinkPrediction.split(sbm, 0.3, seed = 5)
     val adj = sbm.adjacency
     // fake embedding via score function: wrap a lookup in Emb-compatible arrays
-    val pos = LinkPrediction.collectPairs(s.testPos)
-      .map { case (u, v) => (if (adj.contains(u, v)) 1.0 else 0.0, 1) }
-    val neg = LinkPrediction.collectPairs(s.testNeg)
-      .map { case (u, v) => (if (adj.contains(u, v)) 1.0 else 0.0, 0) }
+    val pos = s.testPos.map { case (u, v) => (if (adj.contains(u, v)) 1.0 else 0.0, 1) }
+    val neg = s.testNeg.map { case (u, v) => (if (adj.contains(u, v)) 1.0 else 0.0, 0) }
     assert(LinkPrediction.aucLocal(pos ++ neg) > 0.99)
   }
 
@@ -119,5 +136,37 @@ class LinkPredictionSpec extends SparkSpec {
     val x = Array.fill(300, 4)(rng.nextGaussian())
     val a = LinkPrediction.auc(Emb(x, x), s)
     assert(a >= 0.0 && a <= 1.0)
+  }
+
+  test("auc runs no Spark job") {
+    val s = LinkPrediction.split(sbm, 0.3, seed = 6)
+    val rng = new scala.util.Random(8)
+    val x = Array.fill(300, 4)(rng.nextGaussian())
+    val sc = spark.sparkContext
+    // Listener events arrive in order: count the jobs that start between a
+    // marker job run just before the scoring and one run just after it.
+    val counting = new java.util.concurrent.atomic.AtomicBoolean(false)
+    val jobs = new java.util.concurrent.atomic.AtomicInteger
+    val endSeen = new java.util.concurrent.CountDownLatch(1)
+    val listener = new SparkListener {
+      override def onJobStart(e: SparkListenerJobStart): Unit =
+        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
+          case "lp-auc-start" => counting.set(true)
+          case "lp-auc-end" => counting.set(false); endSeen.countDown()
+          case _ => if (counting.get()) jobs.incrementAndGet()
+        }
+    }
+    def marker(group: String): Unit = {
+      sc.setJobGroup(group, "marks the scoring's bounds")
+      try spark.range(1).count() finally sc.clearJobGroup()
+    }
+    sc.addSparkListener(listener)
+    try {
+      marker("lp-auc-start")
+      LinkPrediction.auc(Emb(x, x), s)
+      marker("lp-auc-end")
+      assert(endSeen.await(30, java.util.concurrent.TimeUnit.SECONDS), "end marker job not observed")
+      assert(jobs.get() == 0, s"${jobs.get()} Spark jobs ran while scoring")
+    } finally sc.removeSparkListener(listener)
   }
 }
