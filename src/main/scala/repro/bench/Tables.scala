@@ -84,7 +84,7 @@ object Tables {
     val results = scala.collection.mutable.ArrayBuffer.empty[(String, String, Int, Double)]
     def runOn(dsName: String, g: Graph, methods: Seq[Methods.Spec], kList: Seq[Int]): Unit = {
       val s = LinkPrediction.split(g, 0.3, seed = 1)
-      s.train.edges.count()
+      s.train.m
       for (m <- methods; k <- kList) {
         val (emb, _) = embed(s"$dsName-lp", s.train, m, k)
         val auc = LinkPrediction.auc(emb, s)
@@ -163,7 +163,7 @@ object Tables {
       results += ((wiki._1, m.name, k, secs))
     }
     val big = Generators.twitterLite(spark)
-    big.graph.edges.count()
+    big.graph.m
     for (m <- Methods.largeSet) {
       val (_, secs) = embed("twitter-lite-full", big.graph, m, 64)
       results += (("twitter-lite", m.name, 64, secs))
@@ -188,7 +188,7 @@ object Tables {
     val out = scala.collection.mutable.ArrayBuffer.empty[SweepPoint]
     for (((name, lg), dsIdx) <- Harness.smallDatasets(spark).zipWithIndex) {
       val s = LinkPrediction.split(lg.graph, 0.3, seed = 1)
-      s.train.edges.count()
+      s.train.m
       val params = NRP.Params(k = k)
       /** Time one embedding run end to end and record its AUC. */
       def point(param: String, value: Double)(run: => Emb): Unit = {
@@ -237,7 +237,7 @@ object Tables {
     val results = scala.collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     for ((name, ev) <- datasets) {
       val pos = LinkPrediction.pairs(ev.newEdges)
-      val neg = LinkPrediction.sampleNonEdges(spark, ev.full, pos.length, seed = 5)
+      val neg = LinkPrediction.sampleNonEdges(ev.full, pos.length, seed = 5)
       val split = LinkPrediction.Split(ev.old, pos, neg)
       for (m <- Methods.mediumSet) {
         val (emb, _) = embed(s"$name-old", ev.old, m, k)
@@ -261,14 +261,14 @@ object Tables {
     val results = scala.collection.mutable.ArrayBuffer.empty[(String, Long, Double)]
     for (n <- nValues) {
       val g = Generators.erdosRenyi(spark, n, fixedM, directed = true, seed = 70 + n)
-      g.edges.count()
+      g.m
       val (_, secs) = Harness.timed(NRP(g, NRP.Params(k = k)))
       results += (("vary-n", n, secs))
       Console.err.println(s"[T10] n=$n m=$fixedM ${Harness.f1(secs)}s")
     }
     for (m <- mValues) {
       val g = Generators.erdosRenyi(spark, fixedN, m, directed = true, seed = 80 + m)
-      g.edges.count()
+      g.m
       val (_, secs) = Harness.timed(NRP(g, NRP.Params(k = k)))
       results += (("vary-m", m, secs))
       Console.err.println(s"[T10] n=$fixedN m=$m ${Harness.f1(secs)}s")

@@ -1,72 +1,72 @@
 package repro.eval
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
-import org.apache.spark.sql.functions._
+import org.apache.spark.sql.DataFrame
+import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import repro.baselines.Emb
 import repro.graph.Graph
+import scala.collection.mutable
 
 /** The link-prediction protocol of §5.2: remove 30 % of the edges, embed
   * the residual graph, and rank the removed edges against an equal number
-  * of non-edges by AUC. On directed graphs pairs are ordered; on
-  * undirected graphs an edge is removed with both its orientations
-  * (split on canonical (min,max) pairs) and tested once.
+  * of randomly sampled non-edges by AUC. On directed graphs pairs are
+  * ordered; on undirected graphs an edge is removed with both its
+  * orientations (split on canonical (min,max) pairs) and tested once.
+  * The split and the sample run on the driver over `Graph.adjacency`.
   */
 object LinkPrediction {
 
   /** `train` is the residual graph G′; `testPos`/`testNeg` are (src,dst)
-    * pairs of equal size, collected to the driver once, when the split is
-    * made, so that scoring an embedding runs no Spark job.
+    * pairs of equal size, held on the driver so that scoring an embedding
+    * runs no Spark job.
     */
   final case class Split(train: Graph, testPos: Array[(Int, Int)], testNeg: Array[(Int, Int)])
 
+  /** Remove the edges whose hash bucket falls under `removeFrac`·1000
+    * (Spark SQL's `pmod(hash(src, dst, seed), 1000)`), build the train
+    * graph from the rest of `g.adjacency`, and draw as many non-edges as
+    * removed pairs. Runs no Spark job once `g.adjacency` exists.
+    */
   def split(g: Graph, removeFrac: Double = 0.3, seed: Int = 1): Split = {
-    val spark = g.spark
+    val a = g.adjacency
     val cut = (removeFrac * 1000).toInt
-    val keyed =
-      if (g.directed) g.edges.withColumn("h", pmod(hash(col("src"), col("dst"), lit(seed)), lit(1000)))
-      else g.edges.withColumn("h",
-        pmod(hash(least(col("src"), col("dst")), greatest(col("src"), col("dst")), lit(seed)), lit(1000)))
-    val kept = keyed.filter(col("h") >= cut).drop("h")
-    val removedAll = keyed.filter(col("h") < cut).drop("h")
+    def removed(u: Int, v: Int): Boolean =
+      if (g.directed) bucket(u, v, seed) < cut else bucket(math.min(u, v), math.max(u, v), seed) < cut
+    val train = Graph.fromCsr(g.spark, a.filter(!removed(_, _)), g.directed)
     // test each undirected pair once (canonical orientation)
-    val removed =
-      if (g.directed) removedAll
-      else removedAll.filter(col("src") < col("dst"))
-    val train = Graph.fromEdges(spark, kept, g.n, g.directed)
-    val pos = pairs(removed)
-    Split(train, pos, sampleNonEdges(spark, g, pos.length, seed))
+    val pos = a.entries.filter { case (u, v) => (g.directed || u < v) && removed(u, v) }.toArray
+    Split(train, pos, sampleNonEdges(g, pos.length, seed))
   }
 
-  /** Uniform non-edge sample of the requested size: over-generate random
-    * pairs, drop self-pairs, anti-join the full edge set, dedup, limit.
-    * Throws `IllegalStateException` when even a 48× over-draw finds fewer
-    * than `count` non-edges (a near-complete graph).
+  /** The bucket in [0, 1000) of edge (src, dst): Spark SQL's
+    * `pmod(hash(src, dst, seed), 1000)` on long ids, computed on the driver.
     */
-  def sampleNonEdges(spark: SparkSession, g: Graph, count: Long, seed: Int): Array[(Int, Int)] = {
-    val n = g.n
-    val want = math.max(count, 1L)
-    var factor = 3L
-    var result = Array.empty[(Int, Int)]
-    while (result.length < want && factor <= 48) {
-      val cand = spark.range(want * factor).select(
-        (rand(seed + factor) * n).cast("long").as("src"),
-        (rand(seed + factor + 1000) * n).cast("long").as("dst"))
-        .filter(col("src") =!= col("dst"))
-      val canon = if (g.directed) cand
-        else cand.select(least(col("src"), col("dst")).as("src"), greatest(col("src"), col("dst")).as("dst"))
-      // collected through the cache: the cached plan fixes which rows the limit keeps
-      val sample = canon.distinct()
-        .join(g.edges, Seq("src", "dst"), "left_anti")
-        .limit(want.toInt)
-        .cache()
-      result = pairs(sample)
-      sample.unpersist()
-      factor *= 2
+  private def bucket(src: Int, dst: Int, seed: Int): Int =
+    Math.floorMod(Murmur3_x86_32.hashInt(seed,
+      Murmur3_x86_32.hashLong(dst.toLong, Murmur3_x86_32.hashLong(src.toLong, 42))), 1000)
+
+  /** A uniform sample of `count` distinct non-edges of `g`, drawn on the
+    * driver by seeded rejection sampling: a random pair is kept unless it
+    * is a self-pair, an edge or already drawn. Pairs are canonical
+    * (min, max) on undirected graphs. The sample depends only on the
+    * graph, `count` and `seed`. Throws `IllegalStateException` when the
+    * graph has fewer than `count` non-edges.
+    */
+  def sampleNonEdges(g: Graph, count: Int, seed: Int): Array[(Int, Int)] = {
+    val a = g.adjacency
+    val n = a.rows
+    val ordered = n.toLong * (n - 1) - a.nnz // ordered non-edge pairs
+    val available = if (g.directed) ordered else ordered / 2
+    if (available < count)
+      throw new IllegalStateException(s"sampleNonEdges wanted $count non-edges but the graph has only $available")
+    val rng = new java.util.SplittableRandom(seed)
+    val drawn = mutable.HashSet.empty[Long]
+    val out = Array.newBuilder[(Int, Int)]
+    while (drawn.size < count) {
+      val (x, y) = (rng.nextInt(n), rng.nextInt(n))
+      val (u, v) = if (g.directed || x < y) (x, y) else (y, x)
+      if (u != v && !a.contains(u, v) && drawn.add(u.toLong * n + v)) out += ((u, v))
     }
-    if (result.length < want)
-      throw new IllegalStateException(
-        s"sampleNonEdges wanted $want non-edges but found ${result.length} after a ${factor / 2}× over-draw")
-    result
+    out.result()
   }
 
   /** Score every test pair with `x(u)·y(v)` and compute AUC. */

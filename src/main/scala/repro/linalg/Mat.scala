@@ -120,6 +120,29 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
     out
   }
 
+  /** The positions (i, j) of the stored entries, row by row. */
+  def entries: Iterator[(Int, Int)] =
+    Iterator.range(0, rows).flatMap(i => Iterator.range(offsets(i), offsets(i + 1)).map(e => (i, colIdx(e))))
+
+  /** The entries at the positions (i, j) where `keep(i, j)` holds. */
+  def filter(keep: (Int, Int) => Boolean): Csr = {
+    val off = new Array[Int](rows + 1)
+    val c = new Array[Int](nnz)
+    val v = new Array[Double](nnz)
+    var kept = 0
+    var i = 0
+    while (i < rows) {
+      var e = offsets(i)
+      while (e < offsets(i + 1)) {
+        if (keep(i, colIdx(e))) { c(kept) = colIdx(e); v(kept) = values(e); kept += 1 }
+        e += 1
+      }
+      off(i + 1) = kept
+      i += 1
+    }
+    new Csr(rows, cols, off, java.util.Arrays.copyOf(c, kept), java.util.Arrays.copyOf(v, kept))
+  }
+
   /** `diag(s) · M`: same sparsity, row i's values scaled by `s(i)`. */
   def scaleRows(s: Array[Double]): Csr = {
     val v = new Array[Double](nnz)

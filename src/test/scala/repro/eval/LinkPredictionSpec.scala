@@ -1,14 +1,16 @@
 package repro.eval
 
 import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
-import org.apache.spark.sql.DataFrame
+import org.apache.spark.sql.{CachedEntries, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 import repro.baselines.Emb
 import repro.graph.{Generators, Graph}
 
-/** Link-prediction protocol tests; query-shaped pieces (split counts,
-  * negative sampling, AUC) are DuckDB-oracle-checked.
+/** Link-prediction protocol tests. The driver-side split and sample are
+  * checked against Spark's hash expression and the edge DataFrame; the
+  * query-shaped pieces (split counts, negative sampling, AUC) against
+  * DuckDB.
   */
 class LinkPredictionSpec extends SparkSpec {
 
@@ -74,9 +76,49 @@ class LinkPredictionSpec extends SparkSpec {
     // every ordered pair of 6 nodes but (5, 0): one non-edge in all
     val pairs = for (u <- 0L until 6L; v <- 0L until 6L if u != v && !(u == 5 && v == 0)) yield (u, v)
     val g = Graph.fromLocal(spark, pairs, n = 6, directed = true)
-    val e = intercept[IllegalStateException](LinkPrediction.sampleNonEdges(spark, g, 5, seed = 1))
-    assert(e.getMessage.contains("wanted 5 non-edges") && e.getMessage.matches(".*found [01] .*"), e.getMessage)
+    val e = intercept[IllegalStateException](LinkPrediction.sampleNonEdges(g, 5, seed = 1))
+    assert(e.getMessage.contains("wanted 5 non-edges but the graph has only 1"), e.getMessage)
     intercept[IllegalStateException](LinkPrediction.split(g, 0.3, seed = 1))
+  }
+
+  test("the driver cut selects exactly the rows of Spark's pmod(hash(src, dst, seed), 1000)") {
+    for ((g, seed) <- Seq(sbm -> 3, und -> 7)) {
+      val (src, dst) =
+        if (g.directed) (col("src"), col("dst")) else (least(col("src"), col("dst")), greatest(col("src"), col("dst")))
+      val keyed = g.edges.withColumn("h", pmod(hash(src, dst, lit(seed)), lit(1000)))
+      val s = LinkPrediction.split(g, 0.3, seed)
+      val kept = LinkPrediction.pairs(keyed.filter(col("h") >= 300)).toSet
+      val removed = LinkPrediction.pairs(keyed.filter(col("h") < 300 && (lit(g.directed) || col("src") < col("dst"))))
+      assert(s.train.adjacency.entries.toSet == kept, s"directed=${g.directed}")
+      assert(s.testPos.sorted.toSeq == removed.sorted.toSeq, s"directed=${g.directed}")
+    }
+  }
+
+  /** The non-edge sample drawn after rebuilding `g` from its edges in
+    * `edgeParts` partitions, with `shuffleParts` shuffle partitions.
+    */
+  private def sampleUnder(g: Graph, count: Int, shuffleParts: Int, edgeParts: Int): Seq[(Int, Int)] = {
+    val before = spark.conf.get("spark.sql.shuffle.partitions")
+    spark.conf.set("spark.sql.shuffle.partitions", shuffleParts.toLong)
+    try {
+      val rebuilt = Graph.fromEdges(spark, g.edges.repartition(edgeParts), g.n, g.directed)
+      LinkPrediction.sampleNonEdges(rebuilt, count, seed = 3).toSeq
+    } finally spark.conf.set("spark.sql.shuffle.partitions", before)
+  }
+
+  test("the non-edge sample is uniform and does not depend on Spark partitioning") {
+    for (g <- Seq(sbm, und)) {
+      val reference = sampleUnder(g, 600, shuffleParts = 64, edgeParts = 1)
+      assert(sampleUnder(g, 600, shuffleParts = 1, edgeParts = 1) == reference, s"directed=${g.directed}")
+      assert(sampleUnder(g, 600, shuffleParts = 64, edgeParts = 7) == reference, s"directed=${g.directed}")
+    }
+    // uniform pairs have a uniform source: mean (n−1)/2, sd ≈ n/√12
+    val count = 4000
+    val srcs = sampleUnder(sbm, count, shuffleParts = 64, edgeParts = 1).map(_._1.toDouble)
+    val n = sbm.n.toDouble
+    val stdErr = n / math.sqrt(12.0) / math.sqrt(count.toDouble)
+    val mean = srcs.sum / count
+    assert(math.abs(mean - (n - 1) / 2) < 4 * stdErr, s"mean source $mean, standard error $stdErr")
   }
 
   test("aucLocal: perfect, inverted, and random scorers") {
@@ -142,31 +184,46 @@ class LinkPredictionSpec extends SparkSpec {
     val s = LinkPrediction.split(sbm, 0.3, seed = 6)
     val rng = new scala.util.Random(8)
     val x = Array.fill(300, 4)(rng.nextGaussian())
+    val jobs = jobsDuring("lp-auc")(LinkPrediction.auc(Emb(x, x), s))
+    assert(jobs == 0, s"$jobs Spark jobs ran while scoring")
+  }
+
+  test("split runs no Spark job and caches nothing once the adjacency exists") {
+    sbm.adjacency
+    val cachedBefore = CachedEntries(spark)
+    val jobs = jobsDuring("lp-split")(LinkPrediction.split(sbm, 0.3, seed = 4))
+    assert(jobs == 0, s"$jobs Spark jobs ran while splitting")
+    assert(CachedEntries(spark) == cachedBefore, s"the split cached ${CachedEntries(spark) - cachedBefore} new results")
+  }
+
+  /** The Spark jobs that `body` starts. Listener events arrive in order:
+    * count the jobs that start between a marker job run just before `body`
+    * and one run just after it.
+    */
+  private def jobsDuring(label: String)(body: => Any): Int = {
     val sc = spark.sparkContext
-    // Listener events arrive in order: count the jobs that start between a
-    // marker job run just before the scoring and one run just after it.
     val counting = new java.util.concurrent.atomic.AtomicBoolean(false)
     val jobs = new java.util.concurrent.atomic.AtomicInteger
     val endSeen = new java.util.concurrent.CountDownLatch(1)
     val listener = new SparkListener {
       override def onJobStart(e: SparkListenerJobStart): Unit =
         Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
-          case "lp-auc-start" => counting.set(true)
-          case "lp-auc-end" => counting.set(false); endSeen.countDown()
+          case g if g == s"$label-start" => counting.set(true)
+          case g if g == s"$label-end" => counting.set(false); endSeen.countDown()
           case _ => if (counting.get()) jobs.incrementAndGet()
         }
     }
     def marker(group: String): Unit = {
-      sc.setJobGroup(group, "marks the scoring's bounds")
+      sc.setJobGroup(group, s"marks the bounds of $label")
       try spark.range(1).count() finally sc.clearJobGroup()
     }
     sc.addSparkListener(listener)
     try {
-      marker("lp-auc-start")
-      LinkPrediction.auc(Emb(x, x), s)
-      marker("lp-auc-end")
+      marker(s"$label-start")
+      body
+      marker(s"$label-end")
       assert(endSeen.await(30, java.util.concurrent.TimeUnit.SECONDS), "end marker job not observed")
-      assert(jobs.get() == 0, s"${jobs.get()} Spark jobs ran while scoring")
+      jobs.get()
     } finally sc.removeSparkListener(listener)
   }
 }
