@@ -13,7 +13,6 @@ object Jobs {
     val s = SparkSession.builder()
       .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
       .appName(name)
-      .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .getOrCreate()
     s
   }

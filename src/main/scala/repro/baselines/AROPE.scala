@@ -22,7 +22,7 @@ object AROPE {
 
   def apply(g: Graph, k: Int, weights: Array[Double] = defaultWeights,
             eps: Double = 0.2, seed: Long = 20): Emb = {
-    val sym = symmetrized(g)
+    val sym = g.symmetrized
     val svd = BKSVD(sym, k, eps, seed)
     val (u, v) = (svd.u, svd.v)
     val n = g.n.toInt
@@ -42,12 +42,6 @@ object AROPE {
     val y = Array.tabulate(n, r)((row, j) => x(row)(j) * (if (f(j) >= 0) 1.0 else -1.0))
     Emb(x, y)
   }
-
-  /** Undirected view of a graph (adds reversed edges; idempotent for
-    * already-undirected graphs).
-    */
-  def symmetrized(g: Graph): Graph =
-    if (g.directed) Graph.fromEdges(g.spark, g.edges, g.n, directed = false) else g
 }
 
 /** RandNE (Zhang et al., ICDM'18) — billion-scale embedding by iterative
@@ -67,7 +61,7 @@ object RandNE {
 
   def apply(g: Graph, k: Int, weights: Array[Double] = defaultWeights,
             seed: Long = 20): Emb = {
-    val sym = AROPE.symmetrized(g)
+    val sym = g.symmetrized
     val n = g.n.toInt
     var u = BKSVD.whiten(BKSVD.gaussian(n, k, seed))
     // whitening may drop columns on degenerate inputs; re-pad deterministically

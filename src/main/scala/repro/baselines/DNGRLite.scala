@@ -16,7 +16,7 @@ object DNGRLite {
 
   def apply(g: Graph, k: Int, surfSteps: Int = 6, restart: Double = 0.85,
             epochs: Int = 8, lr: Double = 0.01, seed: Long = 77): Emb = {
-    val sym = AROPE.symmetrized(g)
+    val sym = g.symmetrized
     val n = sym.n.toInt
     val p = ExactPPR.transition(ExactPPR.adjacency(sym))
 

@@ -17,7 +17,7 @@ object DeepWalkLite {
   def apply(g: Graph, k: Int, walksPerNode: Int = 10, walkLen: Int = 40,
             window: Int = 5, negative: Int = 5, lr0: Double = 0.025,
             seed: Long = 55): Emb = {
-    val sym = AROPE.symmetrized(g)
+    val sym = g.symmetrized
     val csr = sym.adjacency
     val n = csr.rows
     val rng = new Random(seed)

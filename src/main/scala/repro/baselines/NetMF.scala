@@ -29,7 +29,7 @@ object NetMF {
     * — exposed for direct verification against the closed form.
     */
   def matrix(g: Graph, windowT: Int, negB: Double): Array[Array[Double]] = {
-    val sym = AROPE.symmetrized(g)
+    val sym = g.symmetrized
     val n = sym.n.toInt
     val adj = ExactPPR.adjacency(sym)
     val p = ExactPPR.transition(adj)

@@ -236,7 +236,7 @@ object Tables {
     val datasets = Seq("vk-lite" -> Generators.vkLite(spark), "digg-lite" -> Generators.diggLite(spark))
     val results = scala.collection.mutable.ArrayBuffer.empty[(String, String, Double)]
     for ((name, ev) <- datasets) {
-      val pos = LinkPrediction.pairs(ev.newEdges)
+      val pos = ev.newEdges
       val neg = LinkPrediction.sampleNonEdges(ev.full, pos.length, seed = 5)
       val split = LinkPrediction.Split(ev.old, pos, neg)
       for (m <- Methods.mediumSet) {

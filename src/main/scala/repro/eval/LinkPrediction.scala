@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.sql.DataFrame
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
 import repro.baselines.Emb
 import repro.graph.Graph
@@ -31,7 +30,7 @@ object LinkPrediction {
     val cut = (removeFrac * 1000).toInt
     def removed(u: Int, v: Int): Boolean =
       if (g.directed) bucket(u, v, seed) < cut else bucket(math.min(u, v), math.max(u, v), seed) < cut
-    val train = Graph.fromCsr(g.spark, a.filter(!removed(_, _)), g.directed)
+    val train = Graph.fromCsr(a.filter(!removed(_, _)), g.directed)
     // test each undirected pair once (canonical orientation)
     val pos = a.entries.filter { case (u, v) => (g.directed || u < v) && removed(u, v) }.toArray
     Split(train, pos, sampleNonEdges(g, pos.length, seed))
@@ -41,8 +40,7 @@ object LinkPrediction {
     * `pmod(hash(src, dst, seed), 1000)` on long ids, computed on the driver.
     */
   private def bucket(src: Int, dst: Int, seed: Int): Int =
-    Math.floorMod(Murmur3_x86_32.hashInt(seed,
-      Murmur3_x86_32.hashLong(dst.toLong, Murmur3_x86_32.hashLong(src.toLong, 42))), 1000)
+    Math.floorMod(Murmur3_x86_32.hashInt(seed, Graph.edgeHash(src, dst)), 1000)
 
   /** A uniform sample of `count` distinct non-edges of `g`, drawn on the
     * driver by seeded rejection sampling: a random pair is kept unless it
@@ -74,10 +72,6 @@ object LinkPrediction {
     aucLocal(s.testPos.map { case (u, v) => (emb.score(u, v), 1) } ++
       s.testNeg.map { case (u, v) => (emb.score(u, v), 0) })
 
-  /** The (src, dst) rows of a DataFrame, collected to the driver. */
-  def pairs(df: DataFrame): Array[(Int, Int)] =
-    df.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
-
   /** Rank-based AUC (Mann–Whitney) with average ranks for ties. */
   def aucLocal(scored: Iterable[(Double, Int)]): Double = {
     val sorted = scored.toArray.sortBy(_._1) // array: O(1) indexing below
@@ -96,20 +90,5 @@ object LinkPrediction {
       i = j
     }
     (rankSumPos - nP * (nP + 1) / 2.0) / (nP * nN)
-  }
-
-  /** Spark-side AUC over a (score, label) DataFrame — the implementation
-    * that the DuckDB oracle cross-checks in tests.
-    */
-  def aucDf(scores: DataFrame): Double = {
-    val spark = scores.sparkSession
-    scores.createOrReplaceTempView("lp_scores")
-    val row = spark.sql(
-      """SELECT (SUM(CASE WHEN label = 1 THEN r ELSE 0 END) - (SUM(label) * (SUM(label) + 1)) / 2.0)
-        |       / (SUM(label) * (COUNT(*) - SUM(label))) AS auc
-        |FROM (SELECT label, AVG(rn) OVER (PARTITION BY score) AS r
-        |      FROM (SELECT score, label, ROW_NUMBER() OVER (ORDER BY score) AS rn FROM lp_scores))
-        |""".stripMargin).collect()(0)
-    row.getDouble(0)
   }
 }

@@ -1,6 +1,6 @@
 package repro.graph
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.SparkSession
 import org.apache.spark.sql.functions._
 
 /** Synthetic graph generators — the dataset substitutes for the paper's
@@ -83,20 +83,27 @@ object Generators {
     * the remainder "new" edges (future links to predict) — the synthetic
     * analogue of the paper's VK/Digg old/new snapshots (Appendix C).
     * For undirected graphs the split is made on canonical (min,max) pairs
-    * so both orientations of an edge land on the same side.
+    * so both orientations of an edge land on the same side, and each new
+    * pair is listed once, as (min, max).
     */
-  final case class EvolvingGraph(old: Graph, newEdges: DataFrame, full: Graph)
+  final case class EvolvingGraph(old: Graph, newEdges: Array[(Int, Int)], full: Graph)
 
   def evolving(spark: SparkSession, n: Long, avgDeg: Double, numLabels: Int,
-               oldFrac: Double = 0.6, directed: Boolean = true, seed: Long = 11): EvolvingGraph = {
-    val full = dcsbm(spark, n, avgDeg, numLabels, directed = directed, seed = seed).graph
-    val keyed = full.edges.withColumn("h",
-      pmod(hash(least(col("src"), col("dst")), greatest(col("src"), col("dst"))), lit(1000)))
-    val old = keyed.filter(col("h") < (oldFrac * 1000).toInt).drop("h")
-    val freshAll = keyed.filter(col("h") >= (oldFrac * 1000).toInt).drop("h")
-    // test each undirected future pair once (canonical orientation)
-    val fresh = if (directed) freshAll else freshAll.filter(col("src") < col("dst"))
-    EvolvingGraph(Graph.fromEdges(spark, old, n, directed), fresh.cache(), full)
+               oldFrac: Double = 0.6, directed: Boolean = true, seed: Long = 11): EvolvingGraph =
+    cut(dcsbm(spark, n, avgDeg, numLabels, directed = directed, seed = seed).graph, oldFrac)
+
+  /** Split `full` into old and new edges on the driver: an edge (u, v) is
+    * old when its bucket, Spark SQL's
+    * `pmod(hash(least(u, v), greatest(u, v)), 1000)`, falls under
+    * `oldFrac`·1000. Runs no Spark job.
+    */
+  def cut(full: Graph, oldFrac: Double): EvolvingGraph = {
+    val a = full.adjacency
+    val threshold = (oldFrac * 1000).toInt
+    def old(u: Int, v: Int): Boolean =
+      Math.floorMod(Graph.edgeHash(math.min(u, v), math.max(u, v)), 1000) < threshold
+    val fresh = a.entries.filter { case (u, v) => (full.directed || u < v) && !old(u, v) }.toArray
+    EvolvingGraph(Graph.fromCsr(a.filter(old), full.directed), fresh, full)
   }
 
   /** vk-lite: undirected evolving graph (synthetic stand-in for VK). */

@@ -13,8 +13,13 @@ trait Mat {
   def cols: Int
   /** `M · B` where B is cols×k. */
   def mult(b: Array[Array[Double]]): Array[Array[Double]]
-  /** `Mᵀ · B` where B is rows×k. */
-  def multT(b: Array[Array[Double]]): Array[Array[Double]]
+  /** `Mᵀ`. */
+  def transpose: Mat
+  /** `Mᵀ · B` where B is rows×k, as the row-parallel product of the
+    * transpose: each output entry sums its terms in row order, as a
+    * scatter over the rows of M would.
+    */
+  def multT(b: Array[Array[Double]]): Array[Array[Double]] = transpose.mult(b)
 }
 
 object Mat {
@@ -44,26 +49,7 @@ final case class DenseMat(a: Array[Array[Double]]) extends Mat {
     }
     out
   }
-  def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
-    val k = Mat.width(b)
-    val out = Array.ofDim[Double](cols, k)
-    var i = 0
-    while (i < rows) {
-      val ai = a(i); val bi = b(i)
-      var l = 0
-      while (l < cols) {
-        val c = ai(l)
-        if (c != 0.0) {
-          val ol = out(l)
-          var j = 0
-          while (j < k) { ol(j) += c * bi(j); j += 1 }
-        }
-        l += 1
-      }
-      i += 1
-    }
-    out
-  }
+  def transpose: DenseMat = DenseMat(Dense.transpose(a))
 }
 
 /** Compressed sparse row matrix: row i holds the entries
@@ -101,25 +87,6 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
     out
   }
 
-  /** `Mᵀ · B`, scattered row by row in index order. */
-  def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
-    val k = Mat.width(b)
-    val out = Array.ofDim[Double](cols, k)
-    var i = 0
-    while (i < rows) {
-      val bi = b(i)
-      var e = offsets(i)
-      while (e < offsets(i + 1)) {
-        val c = values(e); val ol = out(colIdx(e))
-        var j = 0
-        while (j < k) { ol(j) += c * bi(j); j += 1 }
-        e += 1
-      }
-      i += 1
-    }
-    out
-  }
-
   /** The positions (i, j) of the stored entries, row by row. */
   def entries: Iterator[(Int, Int)] =
     Iterator.range(0, rows).flatMap(i => Iterator.range(offsets(i), offsets(i + 1)).map(e => (i, colIdx(e))))
@@ -141,6 +108,23 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
       i += 1
     }
     new Csr(rows, cols, off, java.util.Arrays.copyOf(c, kept), java.util.Arrays.copyOf(v, kept))
+  }
+
+  /** `Mᵀ`, built by a counting sort of the entries by column: rows are
+    * scanned in order, so every row of the result lists its column indices
+    * in increasing order.
+    */
+  def transpose: Csr = {
+    val off = new Array[Int](cols + 1)
+    for (e <- 0 until nnz) off(colIdx(e) + 1) += 1
+    for (j <- 0 until cols) off(j + 1) += off(j)
+    val next = off.clone()
+    val (c, v) = (new Array[Int](nnz), new Array[Double](nnz))
+    for (i <- 0 until rows; e <- offsets(i) until offsets(i + 1)) {
+      val slot = next(colIdx(e))
+      c(slot) = i; v(slot) = values(e); next(colIdx(e)) += 1
+    }
+    new Csr(cols, rows, off, c, v)
   }
 
   /** `diag(s) · M`: same sparsity, row i's values scaled by `s(i)`. */

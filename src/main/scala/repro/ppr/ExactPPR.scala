@@ -12,11 +12,11 @@ import repro.linalg.Dense
   */
 object ExactPPR {
 
-  /** Dense adjacency collected to the driver (small graphs only). */
+  /** The adjacency CSR densified (small graphs only). */
   def adjacency(g: Graph): Array[Array[Double]] = {
     val n = g.n.toInt
     val a = Array.ofDim[Double](n, n)
-    g.edges.collect().foreach(r => a(r.getLong(0).toInt)(r.getLong(1).toInt) = 1.0)
+    g.adjacency.entries.foreach { case (u, v) => a(u)(v) = 1.0 }
     a
   }
 

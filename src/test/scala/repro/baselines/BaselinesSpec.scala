@@ -46,7 +46,7 @@ class BaselinesSpec extends SparkSpec {
 
   test("symmetrized view of a directed graph contains both orientations") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 2, directed = true)
-    val sym = AROPE.symmetrized(g)
+    val sym = g.symmetrized
     assert(sym.m == 2)
   }
 

@@ -1,6 +1,5 @@
 package repro.eval
 
-import org.apache.spark.scheduler.{SparkListener, SparkListenerJobStart}
 import org.apache.spark.sql.{CachedEntries, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
@@ -17,6 +16,19 @@ class LinkPredictionSpec extends SparkSpec {
   private lazy val sbm = Generators.dcsbm(spark, n = 300, avgDeg = 5, numLabels = 3, seed = 61).graph
   private lazy val und = Generators.dcsbm(spark, n = 300, avgDeg = 4, numLabels = 3,
     directed = false, seed = 62).graph
+
+  /** Spark-SQL AUC over a (score, label) DataFrame, cross-checked against
+    * `aucLocal` and the DuckDB oracle.
+    */
+  private def aucDf(scores: DataFrame): Double = {
+    scores.createOrReplaceTempView("lp_scores")
+    spark.sql(
+      """SELECT (SUM(CASE WHEN label = 1 THEN r ELSE 0 END) - (SUM(label) * (SUM(label) + 1)) / 2.0)
+        |       / (SUM(label) * (COUNT(*) - SUM(label))) AS auc
+        |FROM (SELECT label, AVG(rn) OVER (PARTITION BY score) AS r
+        |      FROM (SELECT score, label, ROW_NUMBER() OVER (ORDER BY score) AS rn FROM lp_scores))
+        |""".stripMargin).collect()(0).getDouble(0)
+  }
 
   /** The driver-side test pairs as a (src, dst) DataFrame, for the oracle checks. */
   private def pairsDf(pairs: Array[(Int, Int)]): DataFrame = {
@@ -87,8 +99,8 @@ class LinkPredictionSpec extends SparkSpec {
         if (g.directed) (col("src"), col("dst")) else (least(col("src"), col("dst")), greatest(col("src"), col("dst")))
       val keyed = g.edges.withColumn("h", pmod(hash(src, dst, lit(seed)), lit(1000)))
       val s = LinkPrediction.split(g, 0.3, seed)
-      val kept = LinkPrediction.pairs(keyed.filter(col("h") >= 300)).toSet
-      val removed = LinkPrediction.pairs(keyed.filter(col("h") < 300 && (lit(g.directed) || col("src") < col("dst"))))
+      val kept = pairs(keyed.filter(col("h") >= 300)).toSet
+      val removed = pairs(keyed.filter(col("h") < 300 && (lit(g.directed) || col("src") < col("dst"))))
       assert(s.train.adjacency.entries.toSet == kept, s"directed=${g.directed}")
       assert(s.testPos.sorted.toSeq == removed.sorted.toSeq, s"directed=${g.directed}")
     }
@@ -149,7 +161,7 @@ class LinkPredictionSpec extends SparkSpec {
     val scored = Seq.fill(500)((math.floor(rng.nextDouble() * 20) / 20.0, rng.nextInt(2)))
     import spark.implicits._
     val df = scored.toDF("score", "label")
-    val fromDf = LinkPrediction.aucDf(df)
+    val fromDf = aucDf(df)
     val fromLocal = LinkPrediction.aucLocal(scored)
     assert(math.abs(fromDf - fromLocal) < 1e-9)
     val aucQuery =
@@ -189,41 +201,10 @@ class LinkPredictionSpec extends SparkSpec {
   }
 
   test("split runs no Spark job and caches nothing once the adjacency exists") {
-    sbm.adjacency
+    val g = sbm // generated, with its adjacency, before the count starts
     val cachedBefore = CachedEntries(spark)
-    val jobs = jobsDuring("lp-split")(LinkPrediction.split(sbm, 0.3, seed = 4))
+    val jobs = jobsDuring("lp-split")(LinkPrediction.split(g, 0.3, seed = 4))
     assert(jobs == 0, s"$jobs Spark jobs ran while splitting")
     assert(CachedEntries(spark) == cachedBefore, s"the split cached ${CachedEntries(spark) - cachedBefore} new results")
-  }
-
-  /** The Spark jobs that `body` starts. Listener events arrive in order:
-    * count the jobs that start between a marker job run just before `body`
-    * and one run just after it.
-    */
-  private def jobsDuring(label: String)(body: => Any): Int = {
-    val sc = spark.sparkContext
-    val counting = new java.util.concurrent.atomic.AtomicBoolean(false)
-    val jobs = new java.util.concurrent.atomic.AtomicInteger
-    val endSeen = new java.util.concurrent.CountDownLatch(1)
-    val listener = new SparkListener {
-      override def onJobStart(e: SparkListenerJobStart): Unit =
-        Option(e.properties).map(_.getProperty("spark.jobGroup.id")).orNull match {
-          case g if g == s"$label-start" => counting.set(true)
-          case g if g == s"$label-end" => counting.set(false); endSeen.countDown()
-          case _ => if (counting.get()) jobs.incrementAndGet()
-        }
-    }
-    def marker(group: String): Unit = {
-      sc.setJobGroup(group, s"marks the bounds of $label")
-      try spark.range(1).count() finally sc.clearJobGroup()
-    }
-    sc.addSparkListener(listener)
-    try {
-      marker(s"$label-start")
-      body
-      marker(s"$label-end")
-      assert(endSeen.await(30, java.util.concurrent.TimeUnit.SECONDS), "end marker job not observed")
-      jobs.get()
-    } finally sc.removeSparkListener(listener)
   }
 }

@@ -79,16 +79,29 @@ class GeneratorsSpec extends SparkSpec {
   test("evolving split: old and new edges are disjoint and cover the full graph") {
     val ev = Generators.evolving(spark, n = 400, avgDeg = 5, numLabels = 4,
       oldFrac = 0.6, directed = true, seed = 9)
-    val overlap = ev.old.edges.join(ev.newEdges, Seq("src", "dst")).count()
-    assert(overlap == 0)
-    val union = ev.old.edges.union(ev.newEdges).distinct().count()
-    assert(union == ev.full.m)
+    val old = ev.old.adjacency.entries.toSet
+    assert(ev.newEdges.forall(!old.contains(_)))
+    assert((old ++ ev.newEdges).size == ev.full.m)
   }
 
   test("evolving undirected split tests each future pair once") {
     val ev = Generators.evolving(spark, n = 300, avgDeg = 5, numLabels = 3,
       oldFrac = 0.5, directed = false, seed = 10)
-    assert(ev.newEdges.filter(col("src") >= col("dst")).count() == 0)
+    assert(ev.newEdges.forall { case (u, v) => u < v })
+  }
+
+  test("the evolving cut selects exactly the rows of Spark's pmod(hash(least, greatest), 1000)") {
+    for (directed <- Seq(true, false)) {
+      val ev = Generators.evolving(spark, n = 300, avgDeg = 5, numLabels = 3,
+        oldFrac = 0.6, directed = directed, seed = 12)
+      val keyed = ev.full.edges.withColumn("h",
+        pmod(hash(least(col("src"), col("dst")), greatest(col("src"), col("dst"))), lit(1000)))
+      val old = keyed.filter(col("h") < 600).drop("h")
+      val fresh = keyed.filter(col("h") >= 600 && (lit(directed) || col("src") < col("dst"))).drop("h")
+      assertSameCsr(ev.old.adjacency, Graph.fromEdges(spark, old, ev.full.n, directed).adjacency,
+        s"directed=$directed old")
+      assert(ev.newEdges.sorted.toSeq == pairs(fresh).sorted.toSeq, s"directed=$directed new")
+    }
   }
 
   test("evolving old fraction is near the requested value") {

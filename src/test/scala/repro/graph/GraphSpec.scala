@@ -1,15 +1,23 @@
 package repro.graph
 
+import org.apache.spark.sql.{CachedEntries, DataFrame}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
+import repro.eval.LinkPrediction
+import repro.ppr.ExactPPR
 import scala.util.Random
 
 /** Graph substrate tests; DataFrame-shaped results are cross-checked
-  * against DuckDB via the Oracle.
+  * against DuckDB via the Oracle, and the driver-side CSR operations
+  * against the Spark ingest path.
   */
 class GraphSpec extends SparkSpec {
 
   private def exampleGraph: Graph = Generators.example9(spark)
+
+  /** Degree table (id, deg) of the `endpoint` column, as a Spark query. */
+  private def degreeDf(g: Graph, endpoint: String): DataFrame =
+    g.edges.groupBy(col(endpoint).as("id")).agg(count(lit(1)).as("deg"))
 
   test("fromEdges drops self-loops and duplicates") {
     val g = Graph.fromLocal(spark,
@@ -35,7 +43,7 @@ class GraphSpec extends SparkSpec {
 
   test("degree DataFrame matches DuckDB aggregation") {
     val g = exampleGraph
-    val sparkDeg = g.degreeDf("src").orderBy("id")
+    val sparkDeg = degreeDf(g, "src").orderBy("id")
     Oracle.assertEquivalent(sparkDeg,
       "SELECT src AS id, COUNT(*) AS deg FROM edges GROUP BY src ORDER BY id",
       "edges" -> g.edges)
@@ -43,7 +51,7 @@ class GraphSpec extends SparkSpec {
 
   test("in-degree DataFrame matches DuckDB aggregation") {
     val g = exampleGraph
-    Oracle.assertEquivalent(g.degreeDf("dst"),
+    Oracle.assertEquivalent(degreeDf(g, "dst"),
       "SELECT dst AS id, COUNT(*) AS deg FROM edges GROUP BY dst",
       "edges" -> g.edges)
   }
@@ -120,17 +128,50 @@ class GraphSpec extends SparkSpec {
 
   test("ids outside [0, n) are rejected naming the edge") {
     for (bad <- Seq(Seq((0L, 3L)), Seq((-1L, 1L)), Seq((0L, 1L + (1L << 32))))) {
-      val g = Graph.fromLocal(spark, bad, n = 3, directed = true)
-      val e = intercept[IllegalArgumentException](g.outDeg)
+      val e = intercept[IllegalArgumentException](Graph.fromLocal(spark, bad, n = 3, directed = true))
       assert(e.getMessage.contains(s"edge (${bad.head._1}, ${bad.head._2})"), e.getMessage)
     }
   }
 
   test("n beyond the Int range is rejected naming n") {
     val n = Int.MaxValue.toLong + 1
-    val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = n, directed = true)
-    val e = intercept[IllegalArgumentException](g.inDeg)
+    val e = intercept[IllegalArgumentException](Graph.fromLocal(spark, Seq((0L, 1L)), n = n, directed = true))
     assert(e.getMessage.contains(n.toString), e.getMessage)
+  }
+
+  test("building a graph caches nothing") {
+    val before = CachedEntries(spark)
+    Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 113)
+    assert(CachedEntries(spark) == before, s"ingest cached ${CachedEntries(spark) - before} new results")
+  }
+
+  test("reverse and symmetrized equal the Spark ingest of the swapped and unioned edges, array by array") {
+    val graphs = Seq(
+      "directed dcsbm" -> Generators.dcsbm(spark, n = 300, avgDeg = 5, numLabels = 3, seed = 114).graph,
+      "example9" -> exampleGraph,
+      "edgeless n = 5" -> Graph.fromLocal(spark, Seq.empty[(Long, Long)], n = 5, directed = true))
+    for ((name, g) <- graphs) {
+      val swapped = g.edges.select(col("dst").as("src"), col("src").as("dst"))
+      assertSameCsr(g.reverse.adjacency, Graph.fromEdges(spark, swapped, g.n, g.directed).adjacency, s"$name reverse")
+      assert(g.reverse.directed == g.directed, name)
+      assertSameCsr(g.symmetrized.adjacency, Graph.fromEdges(spark, g.edges, g.n, directed = false).adjacency,
+        s"$name symmetrized")
+      assert(!g.symmetrized.directed, name)
+    }
+  }
+
+  test("reverse, symmetrized, the split, the evolving cut and the dense adjacency run no Spark job") {
+    val g = Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 115).graph
+    val ops = Seq[(String, () => Any)](
+      "reverse" -> (() => g.reverse.adjacency),
+      "symmetrized" -> (() => g.symmetrized.adjacency),
+      "split" -> (() => LinkPrediction.split(g, 0.3, seed = 1)),
+      "evolving-cut" -> (() => Generators.cut(g, 0.6)),
+      "dense-adjacency" -> (() => ExactPPR.adjacency(g)))
+    for ((name, op) <- ops) {
+      val jobs = jobsDuring(name)(op())
+      assert(jobs == 0, s"$jobs Spark jobs ran in $name")
+    }
   }
 
   test("edge count matches DuckDB") {
