@@ -1,5 +1,6 @@
 package repro.graph
 
+import java.util.stream.IntStream
 import org.apache.spark.sql.{DataFrame, SparkSession}
 import org.apache.spark.sql.functions._
 import org.apache.spark.unsafe.hash.Murmur3_x86_32
@@ -14,10 +15,11 @@ import repro.linalg.Csr
   * modelling intent (it changes evaluation, e.g. whether (u,v) and (v,u)
   * are distinct link-prediction pairs — not the algebra).
   *
-  * Spark is used only to build one: [[Graph.fromEdges]] deduplicates a
-  * DataFrame of raw edges and collects the CSR at once. Every operation on
-  * a built graph, [[reverse]] and [[symmetrized]] included, is a CSR
-  * operation that starts no Spark job.
+  * Every graph is built by [[Graph.fromPairs]] from raw edge arrays on the
+  * driver. Spark is used only to ingest a DataFrame of edges:
+  * [[Graph.fromEdges]] collects its rows into those arrays. Every
+  * operation on a built graph, [[reverse]] and [[symmetrized]] included,
+  * is a CSR operation that starts no Spark job.
   */
 final class Graph private (val adjacency: Csr, val directed: Boolean) {
 
@@ -46,45 +48,89 @@ final class Graph private (val adjacency: Csr, val directed: Boolean) {
   /** The transpose graph (every edge reversed). */
   def reverse: Graph = new Graph(adjacency.transpose, directed)
 
-  /** The undirected view `A ∪ Aᵀ`: each row of A merged with the entries
-    * of the same row of Aᵀ that A lacks, then sorted. An undirected graph
-    * is its own view.
+  /** The undirected view `A ∪ Aᵀ`: the edges of A, built undirected by
+    * [[Graph.fromPairs]]. An undirected graph is its own view.
     */
   def symmetrized: Graph = if (!directed) this else {
-    val (a, n) = (adjacency, adjacency.rows)
-    val extra = a.transpose.filter(!a.contains(_, _))
-    val offsets = Array.tabulate(n + 1)(i => a.offsets(i) + extra.offsets(i))
-    val colIdx = new Array[Int](offsets(n))
-    for (i <- 0 until n) {
-      System.arraycopy(a.colIdx, a.offsets(i), colIdx, offsets(i), a.rowLength(i))
-      System.arraycopy(extra.colIdx, extra.offsets(i), colIdx, offsets(i) + a.rowLength(i), extra.rowLength(i))
-      java.util.Arrays.sort(colIdx, offsets(i), offsets(i + 1))
-    }
-    new Graph(new Csr(n, n, offsets, colIdx, Array.fill(offsets(n))(1.0)), directed = false)
+    val a = adjacency
+    val src = new Array[Int](a.nnz)
+    for (u <- 0 until a.rows) java.util.Arrays.fill(src, a.offsets(u), a.offsets(u + 1), u)
+    Graph.fromPairs(a.rows, src, a.colIdx, a.nnz, directed = false)
   }
 }
 
 object Graph {
-  /** Build a graph from raw (possibly duplicated / self-looped) edges:
-    * drops self-loops, deduplicates, and for undirected graphs adds the
-    * reverse orientation before deduplication (paper Section 3.1), all on
-    * Spark; then collects the adjacency CSR. Rejects an n beyond the Int
-    * range and edges that name a node outside [0, n).
+  /** Build a graph from the raw (possibly duplicated / self-looped) edges
+    * `(src(e), dst(e))`, e < `count`: drops self-loops, adds the reverse
+    * orientation when undirected (paper Section 3.1), then counting-sorts
+    * the edges by source, sorts each row and removes duplicates. Rejects
+    * edges that name a node outside [0, n).
     */
-  def fromEdges(spark: SparkSession, raw: DataFrame, n: Long, directed: Boolean): Graph = {
-    require(n >= 0 && n <= Int.MaxValue, s"n = $n is outside [0, Int.MaxValue]")
-    val base = raw.select(col("src").cast("long"), col("dst").cast("long"))
-    val oriented = if (directed) base
-      else base.union(base.select(col("dst").as("src"), col("src").as("dst")))
-    val clean = oriented.filter(col("src") =!= col("dst")).distinct()
-    new Graph(Csr.fromTriples(n.toInt, n.toInt, clean.collect().iterator.map { r =>
-      val (u, v) = (r.getLong(0), r.getLong(1))
+  def fromPairs(n: Int, src: Array[Int], dst: Array[Int], count: Int, directed: Boolean): Graph = {
+    require(n >= 0, s"n = $n is negative")
+    require(count >= 0 && count <= src.length && count <= dst.length,
+      s"count = $count is outside [0, ${math.min(src.length, dst.length)}]")
+    val start = new Array[Int](n + 1) // row u's raw entries: start(u) until start(u + 1)
+    var total = 0L
+    var e = 0
+    while (e < count) {
+      val u = src(e); val v = dst(e)
       require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u, $v) has an endpoint outside [0, $n)")
-      (u.toInt, v.toInt, 1.0)
-    }), directed)
+      if (u != v) {
+        start(u + 1) += 1; total += 1
+        if (!directed) { start(v + 1) += 1; total += 1 }
+      }
+      e += 1
+    }
+    require(total <= Int.MaxValue, s"$total oriented edges exceed the Int array range")
+    for (u <- 0 until n) start(u + 1) += start(u)
+    val raw = new Array[Int](start(n))
+    val next = start.clone()
+    e = 0
+    while (e < count) {
+      val u = src(e); val v = dst(e)
+      if (u != v) {
+        raw(next(u)) = v; next(u) += 1
+        if (!directed) { raw(next(v)) = u; next(v) += 1 }
+      }
+      e += 1
+    }
+    // per row: sort, then move each distinct column to the row's head
+    val offsets = new Array[Int](n + 1)
+    IntStream.range(0, n).parallel().forEach { u =>
+      java.util.Arrays.sort(raw, start(u), start(u + 1))
+      var len = 0
+      var r = start(u)
+      while (r < start(u + 1)) {
+        if (len == 0 || raw(r) != raw(start(u) + len - 1)) { raw(start(u) + len) = raw(r); len += 1 }
+        r += 1
+      }
+      offsets(u + 1) = len
+    }
+    for (u <- 0 until n) offsets(u + 1) += offsets(u)
+    val colIdx = new Array[Int](offsets(n))
+    for (u <- 0 until n) System.arraycopy(raw, start(u), colIdx, offsets(u), offsets(u + 1) - offsets(u))
+    new Graph(new Csr(n, n, offsets, colIdx, Array.fill(offsets(n))(1.0)), directed)
   }
 
-  /** Build from an in-memory edge list (tests, the Fig.-1 example graph). */
+  /** Ingest a DataFrame of raw edges (`src`, `dst` columns of integral
+    * type): collects its rows and builds the graph with [[fromPairs]].
+    * Rejects an n beyond the Int range and edges that name a node outside
+    * [0, n).
+    */
+  def fromEdges(spark: SparkSession, raw: DataFrame, n: Long, directed: Boolean): Graph = {
+    checkNodeCount(n)
+    val rows = raw.select(col("src").cast("long"), col("dst").cast("long")).collect()
+    val (src, dst) = (new Array[Int](rows.length), new Array[Int](rows.length))
+    for (e <- rows.indices) {
+      val (u, v) = (rows(e).getLong(0), rows(e).getLong(1))
+      require(u >= 0 && u < n && v >= 0 && v < n, s"edge ($u, $v) has an endpoint outside [0, $n)")
+      src(e) = u.toInt; dst(e) = v.toInt
+    }
+    fromPairs(n.toInt, src, dst, rows.length, directed)
+  }
+
+  /** Ingest an in-memory edge list through [[fromEdges]] (tests). */
   def fromLocal(spark: SparkSession, edges: Seq[(Long, Long)], n: Long, directed: Boolean): Graph = {
     import spark.implicits._
     fromEdges(spark, edges.toDF("src", "dst"), n, directed)
@@ -100,6 +146,10 @@ object Graph {
     require(a.values.forall(_ == 1.0), "adjacency has an entry other than 1")
     new Graph(a, directed)
   }
+
+  /** Rejects a node count outside the range of a CSR's Int row index. */
+  private[graph] def checkNodeCount(n: Long): Unit =
+    require(n >= 0 && n <= Int.MaxValue, s"n = $n is outside [0, Int.MaxValue]")
 
   /** Spark SQL's `hash(u, v)` over long ids (Murmur3, seed 42), computed on
     * the driver: the key by which the evolving and link-prediction cuts

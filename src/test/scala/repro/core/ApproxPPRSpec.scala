@@ -56,7 +56,10 @@ class ApproxPPRSpec extends SparkSpec {
   }
 
   test("error decreases as l1 grows") {
-    val g = Generators.dcsbm(spark, n = 80, avgDeg = 4, numLabels = 2, seed = 31).graph
+    // The graph must put the largest error on a pair the l1 steps reach. An
+    // isolated edge whose σ = 1 lies below σ₄₀ is dropped by the rank-40
+    // factorization, and its error is then the same at every l1.
+    val g = Generators.dcsbm(spark, n = 80, avgDeg = 4, numLabels = 2, seed = 32).graph
     val target = ExactPPR.ppr(g, 0.15)
     def err(l1: Int): Double = {
       val e = ApproxPPR(g, kPrime = 40, alpha = 0.15, l1 = l1, eps = 0.1)

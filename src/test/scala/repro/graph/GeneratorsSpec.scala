@@ -1,5 +1,6 @@
 package repro.graph
 
+import java.util.concurrent.{Callable, ForkJoinPool}
 import org.apache.spark.sql.functions._
 import repro.{Oracle, SparkSpec}
 
@@ -116,5 +117,83 @@ class GeneratorsSpec extends SparkSpec {
     assert(wiki.graph.n == 3000 && wiki.graph.directed && wiki.numLabels == 8)
     val blog = Generators.blogLite(spark)
     assert(blog.graph.n == 4000 && !blog.graph.directed && blog.numLabels == 8)
+  }
+
+  test("SplitMix64 reproduces the reference outputs for seed 1234567") {
+    val want = Seq("6457827717110365317", "3203168211198807973", "9817491932198370423",
+      "4593380528125082431", "16408922859458223821")
+    val got = (0 until 5).map(i => java.lang.Long.toUnsignedString(Generators.splitMix64(1234567L, i)))
+    assert(got == want)
+  }
+
+  test("generation runs no Spark job") {
+    val gens = Seq[(String, () => Any)](
+      "dcsbm" -> (() => Generators.dcsbm(spark, n = 300, avgDeg = 5, numLabels = 3, seed = 13)),
+      "undirected-dcsbm" -> (() => Generators.dcsbm(spark, n = 300, avgDeg = 5, numLabels = 3,
+        directed = false, seed = 13)),
+      "erdosRenyi" -> (() => Generators.erdosRenyi(spark, n = 300, nEdges = 1500, seed = 14)),
+      "evolving" -> (() => Generators.evolving(spark, n = 300, avgDeg = 5, numLabels = 3, seed = 15)))
+    for ((name, gen) <- gens) {
+      val jobs = jobsDuring(name)(gen())
+      assert(jobs == 0, s"$jobs Spark jobs ran in $name")
+    }
+  }
+
+  test("the CSR does not depend on the core count") {
+    def build(): Seq[(String, Graph)] = Seq(
+      "directed dcsbm" -> Generators.dcsbm(spark, n = 2000, avgDeg = 8, numLabels = 5, seed = 16).graph,
+      "undirected dcsbm" -> Generators.dcsbm(spark, n = 2000, avgDeg = 8, numLabels = 5,
+        directed = false, seed = 16).graph,
+      "erdosRenyi" -> Generators.erdosRenyi(spark, n = 2000, nEdges = 16000, seed = 17),
+      "evolving old" -> Generators.evolving(spark, n = 2000, avgDeg = 8, numLabels = 5, seed = 18).old)
+    /** `build` run inside a pool of `threads` workers, where parallel streams run too. */
+    def inPool(threads: Int): Seq[(String, Graph)] = {
+      val pool = new ForkJoinPool(threads)
+      try pool.submit(new Callable[Seq[(String, Graph)]] { def call() = build() }).get()
+      finally pool.shutdown()
+    }
+    val common = build()
+    for (threads <- Seq(1, 4); ((name, got), (_, want)) <- inPool(threads).zip(common))
+      assertSameCsr(got.adjacency, want.adjacency, s"$name, $threads-thread pool")
+  }
+
+  test("Spark ingest of the raw draws equals fromPairs and dcsbm, array by array") {
+    import spark.implicits._
+    for (directed <- Seq(true, false)) {
+      val (n, seed) = (400L, 19L)
+      val (src, dst, count) = Generators.dcsbmPairs(n, avgDeg = 6, numLabels = 4, mu = 0.7, alpha = 2.2, seed)
+      val want = Graph.fromPairs(n.toInt, src, dst, count, directed).adjacency
+      assertSameCsr(Generators.dcsbm(spark, n, avgDeg = 6, numLabels = 4, directed = directed, seed = seed)
+        .graph.adjacency, want, s"directed=$directed dcsbm")
+      val rawDf = src.take(count).zip(dst.take(count)).map { case (u, v) => (u.toLong, v.toLong) }.toSeq
+        .toDF("src", "dst")
+      for (parts <- Seq(1, 7))
+        assertSameCsr(Graph.fromEdges(spark, rawDf.repartition(parts), n, directed).adjacency, want,
+          s"directed=$directed, $parts partitions")
+    }
+  }
+
+  test("generators reject out-of-range parameters naming the value") {
+    val bad = Seq[(String, () => Any)](
+      "n = -1" -> (() => Generators.dcsbm(spark, n = -1, avgDeg = 4, numLabels = 2)),
+      "n = 2147483648" -> (() => Generators.dcsbm(spark, n = Int.MaxValue + 1L, avgDeg = 4, numLabels = 2)),
+      "n = -1" -> (() => Generators.erdosRenyi(spark, n = -1, nEdges = 10)),
+      "n = 2147483648" -> (() => Generators.erdosRenyi(spark, n = Int.MaxValue + 1L, nEdges = 10)),
+      "numLabels = 0" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 0)),
+      "mu = -0.1" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, mu = -0.1)),
+      "mu = 1.5" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, mu = 1.5)),
+      "mu = NaN" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, mu = Double.NaN)),
+      "alpha = 1.0" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, alpha = 1.0)),
+      "alpha = 0.5" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, alpha = 0.5)),
+      "avgDeg = -1.0" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = -1, numLabels = 2)),
+      "avgDeg = Infinity" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = Double.PositiveInfinity, numLabels = 2)),
+      "avgDeg = NaN" -> (() => Generators.dcsbm(spark, n = 100, avgDeg = Double.NaN, numLabels = 2)),
+      "2.8E9" -> (() => Generators.dcsbm(spark, n = 2000000000L, avgDeg = 1, numLabels = 2)),
+      "nEdges = 3000000000" -> (() => Generators.erdosRenyi(spark, n = 100, nEdges = 3000000000L)),
+      "nEdges = -1" -> (() => Generators.erdosRenyi(spark, n = 100, nEdges = -1)))
+    for ((value, gen) <- bad) {
+      val e = intercept[IllegalArgumentException](gen())
+      assert(e.getMessage.contains(value), e.getMessage)
+    }
   }
 }

@@ -139,6 +139,15 @@ class GraphSpec extends SparkSpec {
     assert(e.getMessage.contains(n.toString), e.getMessage)
   }
 
+  test("fromPairs rejects ids outside [0, n) and a count beyond its arrays") {
+    for ((u, v) <- Seq((0, 3), (-1, 1), (3, 3))) {
+      val e = intercept[IllegalArgumentException](Graph.fromPairs(3, Array(u), Array(v), 1, directed = true))
+      assert(e.getMessage.contains(s"edge ($u, $v)"), e.getMessage)
+    }
+    val e = intercept[IllegalArgumentException](Graph.fromPairs(3, Array(0), Array(1), 2, directed = true))
+    assert(e.getMessage.contains("count = 2"), e.getMessage)
+  }
+
   test("building a graph caches nothing") {
     val before = CachedEntries(spark)
     Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 113)
