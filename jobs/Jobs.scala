@@ -5,7 +5,8 @@ import repro.bench.Tables
 import scala.collection.immutable.ListMap
 
 /** spark-submit entry point: one argument names the reproduced exhibit
-  * to print (DESIGN.md §4). Example:
+  * to run, print and gate (DESIGN.md §4); a failed gate throws, so the job
+  * exits non-zero. Example:
   * `spark-submit --class repro.jobs.Jobs target/scala-2.13/repro_2.13-*.jar t4`
   */
 object Jobs {

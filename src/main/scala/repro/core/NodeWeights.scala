@@ -51,7 +51,7 @@ object NodeWeights {
                     other: Array[Array[Double]], otherW: Array[Double], otherDeg: Array[Double],
                     lambda: Double, rng: Random): Unit = {
     val n = own.length
-    val k = own(0).length
+    val k = if (n == 0) 0 else own(0).length
     // Shared aggregates (Eqs. 9, 10, 13 / 24, 25, 28) — O(n·k′²) once per epoch.
     val xi = new Array[Double](k)
     val chi = new Array[Double](k)

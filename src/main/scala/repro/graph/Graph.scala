@@ -118,7 +118,7 @@ object Graph {
     * Rejects an n beyond the Int range and edges that name a node outside
     * [0, n).
     */
-  def fromEdges(spark: SparkSession, raw: DataFrame, n: Long, directed: Boolean): Graph = {
+  def fromEdges(raw: DataFrame, n: Long, directed: Boolean): Graph = {
     checkNodeCount(n)
     val rows = raw.select(col("src").cast("long"), col("dst").cast("long")).collect()
     val (src, dst) = (new Array[Int](rows.length), new Array[Int](rows.length))
@@ -133,7 +133,7 @@ object Graph {
   /** Ingest an in-memory edge list through [[fromEdges]] (tests). */
   def fromLocal(spark: SparkSession, edges: Seq[(Long, Long)], n: Long, directed: Boolean): Graph = {
     import spark.implicits._
-    fromEdges(spark, edges.toDF("src", "dst"), n, directed)
+    fromEdges(edges.toDF("src", "dst"), n, directed)
   }
 
   /** Build from a square adjacency CSR: n is its row count. Its entries

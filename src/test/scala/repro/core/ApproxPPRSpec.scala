@@ -56,16 +56,18 @@ class ApproxPPRSpec extends SparkSpec {
   }
 
   test("error decreases as l1 grows") {
-    // The graph must put the largest error on a pair the l1 steps reach. An
-    // isolated edge whose σ = 1 lies below σ₄₀ is dropped by the rank-40
-    // factorization, and its error is then the same at every l1.
+    // Only the truncation term depends on l1, so the error is taken against
+    // the rank-k′ factorization's own l1 = ∞ limit, not against Π: Theorem
+    // 1's rank term would otherwise set the maximum on some graphs. With
+    // X₁Yᵀ = P̃, XYᵀ(l1) = Σ_{i=1…l1} α(1−α)^i P^{i−1}P̃ and XYᵀ(1) = α(1−α)P̃,
+    // so the limit is Π·XYᵀ(1)/α, Π = Σ_{j≥0} α(1−α)^j P^j.
     val g = Generators.dcsbm(spark, n = 80, avgDeg = 4, numLabels = 2, seed = 32).graph
-    val target = ExactPPR.ppr(g, 0.15)
+    def approx(l1: Int) = product(ApproxPPR(g, kPrime = 40, alpha = 0.15, l1 = l1, eps = 0.1))
+    val limit = Dense.matmul(ExactPPR.ppr(g, 0.15), approx(1)).map(Dense.scale(_, 1 / 0.15))
     def err(l1: Int): Double = {
-      val e = ApproxPPR(g, kPrime = 40, alpha = 0.15, l1 = l1, eps = 0.1)
-      val got = product(e)
+      val got = approx(l1)
       (for (u <- 0 until 80; v <- 0 until 80 if u != v)
-        yield math.abs(got(u)(v) - target(u)(v))).max
+        yield math.abs(got(u)(v) - limit(u)(v))).max
     }
     val e2 = err(2); val e20 = err(20)
     assert(e20 < e2, s"l1=2 err=$e2, l1=20 err=$e20")

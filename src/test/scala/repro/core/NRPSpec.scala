@@ -65,6 +65,16 @@ class NRPSpec extends SparkSpec {
     }
   }
 
+  test("empty (n = 0) and edgeless graphs give finite n×k′ embeddings") {
+    for (n <- Seq(0, 4)) {
+      val g = repro.graph.Graph.fromPairs(n, Array.empty, Array.empty, 0, directed = true)
+      val r = NRP(g, NRP.Params(k = 8))
+      for (m <- Seq(r.x, r.y))
+        assert(m.length == n && m.forall(x => x.length == 4 && x.forall(java.lang.Double.isFinite)), s"n = $n")
+      assert(r.weights.wf.length == n && r.weights.wb.length == n, s"n = $n")
+    }
+  }
+
   test("NRP runs on a directed DC-SBM graph and stays finite") {
     val g = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
     val r = NRP(g, NRP.Params(k = 16, l1 = 10, l2 = 3))

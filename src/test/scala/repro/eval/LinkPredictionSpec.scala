@@ -113,7 +113,7 @@ class LinkPredictionSpec extends SparkSpec {
     val before = spark.conf.get("spark.sql.shuffle.partitions")
     spark.conf.set("spark.sql.shuffle.partitions", shuffleParts.toLong)
     try {
-      val rebuilt = Graph.fromEdges(spark, g.edges.repartition(edgeParts), g.n, g.directed)
+      val rebuilt = Graph.fromEdges(g.edges.repartition(edgeParts), g.n, g.directed)
       LinkPrediction.sampleNonEdges(rebuilt, count, seed = 3).toSeq
     } finally spark.conf.set("spark.sql.shuffle.partitions", before)
   }

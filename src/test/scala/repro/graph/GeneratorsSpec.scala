@@ -99,7 +99,7 @@ class GeneratorsSpec extends SparkSpec {
         pmod(hash(least(col("src"), col("dst")), greatest(col("src"), col("dst"))), lit(1000)))
       val old = keyed.filter(col("h") < 600).drop("h")
       val fresh = keyed.filter(col("h") >= 600 && (lit(directed) || col("src") < col("dst"))).drop("h")
-      assertSameCsr(ev.old.adjacency, Graph.fromEdges(spark, old, ev.full.n, directed).adjacency,
+      assertSameCsr(ev.old.adjacency, Graph.fromEdges(old, ev.full.n, directed).adjacency,
         s"directed=$directed old")
       assert(ev.newEdges.sorted.toSeq == pairs(fresh).sorted.toSeq, s"directed=$directed new")
     }
@@ -168,7 +168,7 @@ class GeneratorsSpec extends SparkSpec {
       val rawDf = src.take(count).zip(dst.take(count)).map { case (u, v) => (u.toLong, v.toLong) }.toSeq
         .toDF("src", "dst")
       for (parts <- Seq(1, 7))
-        assertSameCsr(Graph.fromEdges(spark, rawDf.repartition(parts), n, directed).adjacency, want,
+        assertSameCsr(Graph.fromEdges(rawDf.repartition(parts), n, directed).adjacency, want,
           s"directed=$directed, $parts partitions")
     }
   }

@@ -161,9 +161,9 @@ class GraphSpec extends SparkSpec {
       "edgeless n = 5" -> Graph.fromLocal(spark, Seq.empty[(Long, Long)], n = 5, directed = true))
     for ((name, g) <- graphs) {
       val swapped = g.edges.select(col("dst").as("src"), col("src").as("dst"))
-      assertSameCsr(g.reverse.adjacency, Graph.fromEdges(spark, swapped, g.n, g.directed).adjacency, s"$name reverse")
+      assertSameCsr(g.reverse.adjacency, Graph.fromEdges(swapped, g.n, g.directed).adjacency, s"$name reverse")
       assert(g.reverse.directed == g.directed, name)
-      assertSameCsr(g.symmetrized.adjacency, Graph.fromEdges(spark, g.edges, g.n, directed = false).adjacency,
+      assertSameCsr(g.symmetrized.adjacency, Graph.fromEdges(g.edges, g.n, directed = false).adjacency,
         s"$name symmetrized")
       assert(!g.symmetrized.directed, name)
     }

@@ -61,7 +61,7 @@ class EndToEndSpec extends SparkSpec {
     val edges = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
       .edges.as[(Long, Long)].collect().toSeq
     def run(partitions: Int): Seq[Array[Array[Double]]] = {
-      val g = Graph.fromEdges(spark, edges.toDF("src", "dst").repartition(partitions), 120, directed = true)
+      val g = Graph.fromEdges(edges.toDF("src", "dst").repartition(partitions), 120, directed = true)
       val ppr = ApproxPPR(g, kPrime = 8, alpha = 0.15, l1 = 10, eps = 0.2)
       val nrp = NRP(g, NRP.Params(k = 16, l1 = 10, l2 = 3))
       val app = APPLite(g, k = 16, samplesPerNode = 20)

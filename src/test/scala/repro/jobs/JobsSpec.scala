@@ -1,11 +1,12 @@
 package repro.jobs
 
-import org.scalatest.funsuite.AnyFunSuite
+import repro.SparkSpec
 
-/** The spark-submit dispatcher: table names and argument checking (no
-  * Spark session is started for a rejected argument list).
+/** The spark-submit dispatcher: table names, argument checking (no Spark
+  * session is started for a rejected argument list) and one exhibit run
+  * end to end through its gate.
   */
-class JobsSpec extends AnyFunSuite {
+class JobsSpec extends SparkSpec {
 
   private val names = Seq("t1", "t3", "t4", "t5", "t6", "t7", "t8", "t9", "t10")
 
@@ -18,5 +19,10 @@ class JobsSpec extends AnyFunSuite {
       val e = intercept[IllegalArgumentException](Jobs.main(args))
       assert(e.getMessage.contains(names.mkString(", ")), e.getMessage)
     }
+  }
+
+  test("t1 runs, prints and passes its gate") {
+    val rows = Jobs.tables("t1")(spark).asInstanceOf[Map[String, Seq[Double]]]
+    assert(rows.keySet == Set("v2", "v4", "v7", "v9"))
   }
 }
