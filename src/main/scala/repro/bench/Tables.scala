@@ -47,7 +47,7 @@ object Tables {
     * [[Methods.all]] order, a column per distinct column key in ascending
     * order, "-" where a method has no value.
     */
-  private def printPivot[C: Ordering](title: String, rows: Seq[Row[C]])(header: C => String): Unit =
+  private[bench] def printPivot[C: Ordering](title: String, rows: Seq[Row[C]])(header: C => String): Unit =
     rows.groupBy(_._1).toSeq.sortBy(_._1).foreach { case (ds, rs) =>
       val cols = rs.map(_._3).distinct.sorted
       val table = rs.groupBy(_._2).toSeq
@@ -198,7 +198,10 @@ object Tables {
       (ds, m.name, k, secs)
     }
     val (wikiName, wiki) = Harness.smallDatasets(spark).head
-    val wikiRows = for (m <- Methods.all; k <- Seq(16, 32, 64)) yield time(wikiName, wiki.graph, m, k)
+    // k = 128, the paper's and NRP.Params' default, for the PPR methods only;
+    // the pivot prints "-" in the other methods' k = 128 cells.
+    val wikiRows = (for (m <- Methods.all; k <- Seq(16, 32, 64)) yield time(wikiName, wiki.graph, m, k)) ++
+      Seq(Methods.nrp, Methods.approxPpr).map(time(wikiName, wiki.graph, _, 128))
     val big = Generators.twitterLite(spark).graph
     val rows = wikiRows ++ Methods.largeSet.map(time("twitter-lite", big, _, 64))
     report("T7 (Fig. 7): embedding construction time (seconds) vs k", rows)(k => s"sec@k=$k")(checkEfficiency)

@@ -9,8 +9,9 @@ import repro.linalg.{Dense, Mat}
   * Build the Krylov space `K = [AG, (AAᵀ)AG, …, (AAᵀ)^{q−1}AG]` with a
   * Gaussian start block `G` (cols×k′), orthonormalize (Gram-whitening, per
   * block for numerical stability and once more for the union), project:
-  * `Z = AᵀQ`, `M = ZᵀZ = Qᵀ(AAᵀ)Q`, eigendecompose the small `M` (cyclic
-  * Jacobi), and read off `U = QW`, `σ = √λ`, `V = AᵀUΣ⁻¹ = ZWΣ⁻¹`, so
+  * `Z = AᵀQ`, `M = ZᵀZ = Qᵀ(AAᵀ)Q`, eigendecompose the small `M`
+  * ([[Dense.eigSym]]: Householder tridiagonalization + implicit QL), and
+  * read off `U = QW`, `σ = √λ`, `V = AᵀUΣ⁻¹ = ZWΣ⁻¹`, so
   * `A ≈ UΣVᵀ` with the (1+ε)·σ_{k′+1} spectral guarantee the ApproxPPR
   * error bound (Theorem 1) builds on.
   *

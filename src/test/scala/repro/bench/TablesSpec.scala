@@ -55,6 +55,19 @@ class TablesSpec extends AnyFunSuite {
     for (ds <- small) fails(Tables.checkClassification(set(ok, ds, "NRP", 0.5, 0.2)), ds)
   }
 
+  test("pivot printer shows \"-\" where a method has no value in a column") {
+    val rows: Seq[Row[Int]] = Seq(("wiki-lite", "NRP", 64, 1.0), ("wiki-lite", "NRP", 128, 2.0),
+      ("wiki-lite", "AROPE", 64, 3.0))
+    val out = new java.io.ByteArrayOutputStream
+    Console.withOut(out)(Tables.printPivot("T7", rows)(k => s"sec@k=$k"))
+    val lines = out.toString("UTF-8").linesIterator.toSeq
+    assert(lines.head == "### T7 - wiki-lite")
+    def cells(m: String) = lines.find(_.startsWith(s"| $m ")).get.split('|').map(_.trim).filter(_.nonEmpty).toSeq
+    assert(cells("method") == Seq("method", "sec@k=64", "sec@k=128"))
+    assert(cells("NRP") == Seq("NRP", "1.000", "2.000"))
+    assert(cells("AROPE") == Seq("AROPE", "3.000", "-"))
+  }
+
   test("T7 gate: a twitter-lite NRP row exists") {
     val ok: Seq[Row[Int]] = Seq(("wiki-lite", "NRP", 64, 1.0), ("twitter-lite", "NRP", 64, 9.0),
       ("twitter-lite", "RandNE", 64, 1.0))

@@ -2,7 +2,7 @@ package repro.core
 
 import repro.SparkSpec
 import repro.graph.Generators
-import repro.linalg.Dense
+import repro.linalg.{Dense, Jacobi}
 import repro.ppr.ExactPPR
 
 /** Algorithm-1 tests: XYᵀ must approximate the truncated PPR Π′ within
@@ -15,7 +15,7 @@ class ApproxPPRSpec extends SparkSpec {
 
   private def theorem1Bound(g: repro.graph.Graph, kP: Int, eps: Double,
                             alpha: Double, l1: Int): Double = {
-    val sigma = Dense.svdSmall(ExactPPR.adjacency(g))._2
+    val sigma = Jacobi.svdSmall(ExactPPR.adjacency(g))._2
     val tail = if (sigma.length > kP) sigma(kP) else 0.0
     (1 + eps) * tail * (1 - alpha) * (1 - math.pow(1 - alpha, l1)) + math.pow(1 - alpha, l1 + 1)
   }

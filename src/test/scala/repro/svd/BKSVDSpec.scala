@@ -2,7 +2,7 @@ package repro.svd
 
 import repro.SparkSpec
 import repro.graph.{Generators, Graph}
-import repro.linalg.Dense
+import repro.linalg.{Dense, Jacobi}
 import repro.ppr.ExactPPR
 
 /** Block-Krylov SVD vs the exact local SVD oracle. */
@@ -40,7 +40,7 @@ class BKSVDSpec extends SparkSpec {
 
   test("singular values match the exact SVD on the example graph") {
     val g = Generators.example9(spark)
-    val exact = Dense.svdSmall(ExactPPR.adjacency(g))._2
+    val exact = Jacobi.svdSmall(ExactPPR.adjacency(g))._2
     val got = BKSVD(g, kPrime = 4, eps = 0.1).sigma
     for (j <- 0 until 4)
       assert(math.abs(got(j) - exact(j)) < 0.05 * math.max(exact(j), 1.0),
@@ -58,7 +58,7 @@ class BKSVDSpec extends SparkSpec {
     val g = Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, seed = 12).graph
     val kP = 10
     val a = ExactPPR.adjacency(g)
-    val exactSigma = Dense.svdSmall(a)._2
+    val exactSigma = Jacobi.svdSmall(a)._2
     val tail = if (exactSigma.length > kP) exactSigma(kP) else 0.0
     val r = BKSVD(g, kPrime = kP, eps = 0.2)
     val (u, v) = (r.u, r.v)
@@ -100,7 +100,7 @@ class BKSVDSpec extends SparkSpec {
     val g = Generators.example9(spark)
     val r = BKSVD(g, kPrime = 12, eps = 0.2)
     finiteShape(r.u, 9, 12); finiteShape(r.v, 9, 12)
-    val exact = Dense.svdSmall(ExactPPR.adjacency(g))._2
+    val exact = Jacobi.svdSmall(ExactPPR.adjacency(g))._2
     for (j <- exact.indices) assert(math.abs(r.sigma(j) - exact(j)) < 1e-6, s"sigma($j)")
     assert(r.sigma.drop(9).forall(_ == 0.0), r.sigma.mkString(","))
   }
