@@ -22,7 +22,7 @@ object DNGRLite {
 
     // Random surfing: R = Σ_k p_k, p_k = restart·p_{k-1}P + (1−restart)·p_0.
     val r = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
-    var cur = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
+    val cur = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
     for (_ <- 1 to surfSteps) {
       val stepped = DenseMat(cur).mult(p) // cur · P
       var i = 0

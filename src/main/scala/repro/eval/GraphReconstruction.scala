@@ -3,13 +3,12 @@ package repro.eval
 import repro.baselines.Emb
 import repro.graph.Graph
 
-/** The graph-reconstruction protocol of §5.3: score a candidate set S of
-  * node pairs (all ordered pairs, or a uniform sample of them on larger
-  * graphs, as the paper samples 1 %), and report precision@K — the
-  * fraction of the top-K scored pairs that are true edges.
+/** The graph-reconstruction protocol of §5.3: score all ordered node
+  * pairs and report precision@K — the fraction of the top-K scored pairs
+  * that are true edges.
   *
   * Scoring is an n²-shaped dense computation by nature (the very reason
-  * the paper caps it at 1 % samples on medium graphs and skips the
+  * the paper samples 1 % of the pairs on medium graphs and skips the
   * largest); we run it driver-local, parallel over sources, with bounded
   * per-thread heaps merged at the end.
   */
@@ -19,8 +18,7 @@ object GraphReconstruction {
     * Pairs rank by score, ties by the lower pair code u·n+v, so the top K
     * does not depend on how rows are spread over threads.
     */
-  def precisionAtK(emb: Emb, g: Graph, ks: Seq[Int], sampleFrac: Double = 1.0,
-                   seed: Long = 9): Map[Int, Double] = {
+  def precisionAtK(emb: Emb, g: Graph, ks: Seq[Int]): Map[Int, Double] = {
     val n = g.n.toInt
     val maxK = ks.max
     val adj = g.adjacency
@@ -31,11 +29,9 @@ object GraphReconstruction {
       val heap = heaps(t)
       var u = t
       while (u < n) {
-        val rng = if (sampleFrac < 1.0) new scala.util.Random(seed * 1000003L + u) else null
         var v = 0
         while (v < n) {
-          if (v != u && (sampleFrac >= 1.0 || rng.nextDouble() < sampleFrac))
-            heap.offer(emb.score(u, v), u.toLong * n + v)
+          if (v != u) heap.offer(emb.score(u, v), u.toLong * n + v)
           v += 1
         }
         u += nThreads

@@ -383,19 +383,21 @@ object Dense {
     else 0.0
   }
 
+  private val WhitenRelTol = 1e-10
+
   /** Whitening transform from a Gram matrix.
     *
     * Given `G = BᵀB` for a tall-skinny `B`, returns `W` such that the
     * columns of `B·W` are orthonormal and span the (numerically)
     * significant column space of `B`. Directions with eigenvalue below
-    * `relTol · λ_max` are dropped, so rank-deficient blocks (common once
+    * `WhitenRelTol · λ_max` are dropped, so rank-deficient blocks (common once
     * Krylov iterations converge) are handled gracefully. `W` is s×r with
     * r = numerical rank.
     */
-  def whitener(gramM: Array[Array[Double]], relTol: Double = 1e-10): Array[Array[Double]] = {
+  def whitener(gramM: Array[Array[Double]]): Array[Array[Double]] = {
     val eig = eigSym(gramM)
     val lmax = math.max(eig.values.headOption.getOrElse(0.0), 0.0)
-    val keep = eig.values.indices.filter(j => eig.values(j) > relTol * math.max(lmax, 1e-300))
+    val keep = eig.values.indices.filter(j => eig.values(j) > WhitenRelTol * math.max(lmax, 1e-300))
     val s = gramM.length
     Array.tabulate(s, keep.length)((i, jj) => eig.vectors(i)(keep(jj)) / math.sqrt(eig.values(keep(jj))))
   }

@@ -84,15 +84,6 @@ class GraphReconstructionSpec extends SparkSpec {
     assert(prec == 1.0)
   }
 
-  test("sampling a fraction of pairs still returns all requested Ks") {
-    val g = Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 71).graph
-    val rng = new scala.util.Random(9)
-    val x = Array.fill(200, 4)(rng.nextGaussian())
-    val prec = GraphReconstruction.precisionAtK(Emb(x, x), g, Seq(10, 50), sampleFrac = 0.3)
-    assert(prec.keySet == Set(10, 50))
-    assert(prec.values.forall(p => p >= 0.0 && p <= 1.0))
-  }
-
   test("adjacency.contains holds exactly the edges") {
     val g = Graph.fromLocal(spark, Seq((0L, 1L), (2L, 0L)), n = 3, directed = true)
     val hits = for (u <- 0 until 3; v <- 0 until 3 if g.adjacency.contains(u, v)) yield (u, v)
