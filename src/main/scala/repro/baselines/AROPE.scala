@@ -1,7 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.linalg.{Dense, DenseMat}
+import repro.linalg.Dense
 import repro.svd.BKSVD
 
 /** AROPE (Zhang et al., KDD'18) — arbitrary-order proximity preserved
@@ -30,7 +30,7 @@ object AROPE {
     // the projected operator B = Uᵀ(A U) = diag(σ)·(VᵀU); eigendecompose
     // the symmetrized B and rotate U by its eigenvectors. This is robust
     // to degenerate σ (where individual u_j are not eigenvectors).
-    val vtu = DenseMat(v).multT(u)
+    val vtu = Dense.matmul(Dense.transpose(v), u)
     val b = Array.tabulate(k, k)((p, q) =>
       (svd.sigma(p) * vtu(p)(q) + svd.sigma(q) * vtu(q)(p)) / 2.0)
     val eig = Dense.eigSym(b)

@@ -1,8 +1,7 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.linalg.{Dense, DenseMat}
-import repro.ppr.ExactPPR
+import repro.linalg.Dense
 import scala.util.Random
 
 /** DNGR (Cao et al., AAAI'16), reduced to its essential pipeline: random
@@ -18,24 +17,27 @@ object DNGRLite {
             epochs: Int = 8, lr: Double = 0.01, seed: Long = 77): Emb = {
     val sym = g.symmetrized
     val n = sym.n.toInt
-    val p = ExactPPR.transition(ExactPPR.adjacency(sym))
+    val pT = sym.adjacency.scaleRows(sym.invOutDeg).transpose // Pᵀ = (D⁻¹A)ᵀ
 
-    // Random surfing: R = Σ_k p_k, p_k = restart·p_{k-1}P + (1−restart)·p_0.
-    val r = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
-    val cur = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
+    // Random surfing: R = Σ_k p_k, p_k = restart·p_{k-1}P + (1−restart)·p_0,
+    // run transposed, p_kᵀ = restart·Pᵀp_{k-1}ᵀ + (1−restart)·I, so that each
+    // step is a CSR product; Rᵀ is transposed once at the end.
+    val rT = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
+    val curT = Array.tabulate(n, n)((i, j) => if (i == j) 1.0 else 0.0)
     for (_ <- 1 to surfSteps) {
-      val stepped = DenseMat(cur).mult(p) // cur · P
+      val stepped = pT.mult(curT) // (cur · P)ᵀ
       var i = 0
       while (i < n) {
         var j = 0
         while (j < n) {
-          cur(i)(j) = restart * stepped(i)(j) + (if (i == j) 1.0 - restart else 0.0)
-          r(i)(j) += cur(i)(j)
+          curT(i)(j) = restart * stepped(i)(j) + (if (i == j) 1.0 - restart else 0.0)
+          rT(i)(j) += curT(i)(j)
           j += 1
         }
         i += 1
       }
     }
+    val r = Dense.transpose(rT)
 
     // PPMI transform.
     val rowSum = r.map(_.sum)

@@ -134,7 +134,7 @@ object APPLite {
     val negTable = DeepWalkLite.unigramTable(g.inDeg)
     val total = n.toLong * samplesPerNode
     var done = 0L
-    for (s <- 1 to samplesPerNode; u <- 0 until n) {
+    for (_ <- 1 to samplesPerNode; u <- 0 until n) {
       val lr = math.max(1e-3, lr0 * (1.0 - done.toDouble / total))
       val v = pprWalk(csr, u, alpha, rng)
       if (v != u) {

@@ -1,13 +1,13 @@
 package repro.baselines
 
 import repro.graph.Graph
-import repro.linalg.DenseMat
+import repro.linalg.Csr
 import repro.ppr.ExactPPR
 import repro.svd.BKSVD
 
 /** NetMF (Qiu et al., WSDM'18) — DeepWalk as explicit matrix
   * factorization: `M = vol(G)/(b·T) · (Σ_{r=1…T} P^r) · D⁻¹`, truncated
-  * log `M′ = log(max(M, 1))`, then SVD → `E = U√Σ`.
+  * log `M′ = log(max(M, 1))`, then SVD of the sparse M′ → `E = U√Σ`.
   *
   * Requires a dense n×n matrix — the scalability wall the paper reports
   * (NetMF/NetSMF are excluded on large graphs); we likewise run it on the
@@ -20,7 +20,7 @@ object NetMF {
             seed: Long = 33): Emb = {
     val mPrime = matrix(g, windowT, negB)
     val n = mPrime.length
-    val svd = BKSVD(DenseMat(mPrime), k, q = 4, seed = seed)
+    val svd = BKSVD(Csr.fromDense(mPrime), k, q = 4, seed = seed)
     val x = Array.tabulate(n, k)((i, j) => svd.u(i)(j) * math.sqrt(svd.sigma(j)))
     Emb.symmetricOf(x)
   }
@@ -31,13 +31,9 @@ object NetMF {
   def matrix(g: Graph, windowT: Int, negB: Double): Array[Array[Double]] = {
     val sym = g.symmetrized
     val n = sym.n.toInt
-    val adj = ExactPPR.adjacency(sym)
-    val p = ExactPPR.transition(adj)
-    val vol = adj.map(_.sum).sum
-    val invDeg = adj.map { row => val d = row.sum; if (d > 0) 1.0 / d else 0.0 }
-    val pm = DenseMat(p)
-    // S = Σ_{r=1..T} P^r via repeated dense (parallel) products.
-    var power = p
+    val step = sym.adjacency.scaleRows(sym.invOutDeg) // P = D⁻¹A
+    // S = Σ_{r=1..T} P^r: the dense P, then P^{r+1} = P·P^r by CSR products.
+    var power = ExactPPR.transition(ExactPPR.adjacency(sym))
     val s = Array.ofDim[Double](n, n)
     for (r <- 1 to windowT) {
       var i = 0
@@ -47,12 +43,14 @@ object NetMF {
         while (j < n) { si(j) += pi(j); j += 1 }
         i += 1
       }
-      if (r < windowT) power = pm.mult(power)
+      if (r < windowT) power = step.mult(power)
     }
-    val scale = vol / (negB * windowT)
-    Array.tabulate(n, n) { (i, j) =>
-      val v = scale * s(i)(j) * invDeg(j)
-      if (v > 1.0) math.log(v) else 0.0
+    val scale = sym.m.toDouble / (negB * windowT) // vol(G) = m of the undirected view
+    val invDeg = sym.invOutDeg
+    for (row <- s; j <- 0 until n) { // M′ in place of S: no second n×n matrix
+      val v = scale * row(j) * invDeg(j)
+      row(j) = if (v > 1.0) math.log(v) else 0.0
     }
+    s
   }
 }

@@ -2,64 +2,19 @@ package repro.linalg
 
 import java.util.stream.IntStream
 
-/** A driver-local matrix that multiplies tall-skinny dense blocks — the
-  * one operator interface of the reproduction. [[Csr]] carries every
-  * graph matrix (adjacency, transition, STRAP's transpose proximity);
-  * [[DenseMat]] carries the n×n matrices the dense baselines materialize
-  * by design. Blocks are row-major `Array[Array[Double]]`.
-  */
-trait Mat {
-  def rows: Int
-  def cols: Int
-  /** `M · B` where B is cols×k. */
-  def mult(b: Array[Array[Double]]): Array[Array[Double]]
-  /** `Mᵀ`. */
-  def transpose: Mat
-  /** `Mᵀ · B` where B is rows×k, as the row-parallel product of the
-    * transpose: each output entry sums its terms in row order, as a
-    * scatter over the rows of M would.
-    */
-  def multT(b: Array[Array[Double]]): Array[Array[Double]] = transpose.mult(b)
-}
-
-object Mat {
-  /** Column count of a block (0 for a block without rows). */
-  private[linalg] def width(b: Array[Array[Double]]): Int = if (b.isEmpty) 0 else b(0).length
-}
-
-/** Dense row-major matrix with row-parallel `mult`. */
-final case class DenseMat(a: Array[Array[Double]]) extends Mat {
-  def rows: Int = a.length
-  def cols: Int = Mat.width(a)
-  def mult(b: Array[Array[Double]]): Array[Array[Double]] = {
-    val k = Mat.width(b)
-    val out = Array.ofDim[Double](rows, k)
-    IntStream.range(0, rows).parallel().forEach { i =>
-      val ai = a(i); val oi = out(i)
-      var l = 0
-      while (l < cols) {
-        val c = ai(l)
-        if (c != 0.0) {
-          val bl = b(l)
-          var j = 0
-          while (j < k) { oi(j) += c * bl(j); j += 1 }
-        }
-        l += 1
-      }
-    }
-    out
-  }
-  def transpose: DenseMat = DenseMat(Dense.transpose(a))
-}
-
-/** Compressed sparse row matrix: row i holds the entries
-  * `offsets(i) until offsets(i+1)` of `colIdx`/`values`, with column
-  * indices strictly increasing within each row. The fixed order makes
-  * every product a pure function of the matrix, whatever order its
-  * entries arrived in. Takes 4(rows+1) + 12·nnz bytes.
+/** Compressed sparse row matrix, the one operator of the reproduction: it
+  * carries every graph matrix (adjacency, transition, STRAP's transpose
+  * proximity) and the sparse n×n matrices of the dense baselines, and
+  * multiplies them into tall-skinny row-major blocks `Array[Array[Double]]`.
+  *
+  * Row i holds the entries `offsets(i) until offsets(i+1)` of
+  * `colIdx`/`values`, with column indices strictly increasing within each
+  * row. The fixed order makes every product a pure function of the
+  * matrix, whatever order its entries arrived in. Takes
+  * 4(rows+1) + 12·nnz bytes.
   */
 final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
-                val colIdx: Array[Int], val values: Array[Double]) extends Mat {
+                val colIdx: Array[Int], val values: Array[Double]) {
 
   def nnz: Int = offsets(rows)
 
@@ -70,9 +25,10 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
   def contains(i: Int, j: Int): Boolean =
     java.util.Arrays.binarySearch(colIdx, offsets(i), offsets(i + 1), j) >= 0
 
-  /** Row-parallel `M · B`. */
+  /** Row-parallel `M · B` where B is cols×k. */
   def mult(b: Array[Array[Double]]): Array[Array[Double]] = {
-    val k = Mat.width(b)
+    val k = Csr.width(b)
+    require(b.length == cols, s"Csr.mult: a ${rows}×$cols matrix times a ${b.length}×$k block")
     val out = Array.ofDim[Double](rows, k)
     IntStream.range(0, rows).parallel().forEach { i =>
       val oi = out(i)
@@ -85,6 +41,15 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
       }
     }
     out
+  }
+
+  /** `Mᵀ · B` where B is rows×k, as the row-parallel product of the
+    * transpose: each output entry sums its terms in row order, as a
+    * scatter over the rows of M would.
+    */
+  def multT(b: Array[Array[Double]]): Array[Array[Double]] = {
+    require(b.length == rows, s"Csr.multT: the transpose of a ${rows}×$cols matrix times a ${b.length}×${Csr.width(b)} block")
+    transpose.mult(b)
   }
 
   /** The positions (i, j) of the stored entries, row by row. */
@@ -141,6 +106,28 @@ final class Csr(val rows: Int, val cols: Int, val offsets: Array[Int],
 }
 
 object Csr {
+
+  /** Column count of a row-major matrix (0 for one without rows). */
+  private def width(b: Array[Array[Double]]): Int = if (b.isEmpty) 0 else b(0).length
+
+  /** The non-zero entries of a dense row-major matrix, each row's in
+    * column order. Rejects ragged rows.
+    */
+  def fromDense(a: Array[Array[Double]]): Csr = {
+    val cols = width(a)
+    val offsets = new Array[Int](a.length + 1)
+    for (i <- a.indices) {
+      require(a(i).length == cols, s"row $i has ${a(i).length} entries, not $cols")
+      offsets(i + 1) = offsets(i) + a(i).count(_ != 0.0)
+    }
+    val colIdx = new Array[Int](offsets(a.length))
+    val values = new Array[Double](offsets(a.length))
+    for (i <- a.indices) {
+      var e = offsets(i)
+      for (j <- 0 until cols if a(i)(j) != 0.0) { colIdx(e) = j; values(e) = a(i)(j); e += 1 }
+    }
+    new Csr(a.length, cols, offsets, colIdx, values)
+  }
 
   /** Build from (row, col, value) triples; entries at the same position
     * are summed in arrival order.

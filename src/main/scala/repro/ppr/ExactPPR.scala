@@ -54,13 +54,13 @@ object ExactPPR {
     var coef = coef0
     var i = 0
     while (more(i, coef)) {
+      if (i > 0) walk = Dense.matmul(walk, p) // W_i, made only once term i is taken
       var r = 0
       while (r < n) {
         var c = 0
         while (c < n) { pi(r)(c) += coef * walk(r)(c); c += 1 }
         r += 1
       }
-      walk = Dense.matmul(walk, p)
       coef *= (1 - alpha)
       i += 1
     }

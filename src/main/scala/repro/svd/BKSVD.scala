@@ -1,10 +1,10 @@
 package repro.svd
 
 import repro.graph.Graph
-import repro.linalg.{Dense, Mat}
+import repro.linalg.{Csr, Dense}
 
 /** Randomized Block-Krylov SVD (Musco & Musco, NIPS'15), driver-local
-  * over any [[Mat]].
+  * over a [[Csr]].
   *
   * Build the Krylov space `K = [AG, (AAᵀ)AG, …, (AAᵀ)^{q−1}AG]` with a
   * Gaussian start block `G` (cols×k′), orthonormalize (Gram-whitening, per
@@ -15,7 +15,7 @@ import repro.linalg.{Dense, Mat}
   * `A ≈ UΣVᵀ` with the (1+ε)·σ_{k′+1} spectral guarantee the ApproxPPR
   * error bound (Theorem 1) builds on.
   *
-  * The products with A run on the operator; every other step works on
+  * The products with A run on the CSR; every other step works on
   * n×s blocks with `s ≤ k′·q`, so the Krylov union takes 8·n·k′·q bytes.
   */
 object BKSVD {
@@ -37,7 +37,7 @@ object BKSVD {
     apply(g.adjacency, kPrime, iters(g.n, eps), seed)
 
   /** SVD of `a` from `q` Krylov blocks of width `kPrime`. */
-  def apply(a: Mat, kPrime: Int, q: Int, seed: Long): Result = {
+  def apply(a: Csr, kPrime: Int, q: Int, seed: Long): Result = {
     require(kPrime >= 1 && q >= 1, s"need kPrime >= 1 and q >= 1, got kPrime=$kPrime, q=$q")
     // Krylov blocks, each whitened before powering on (classic re-orth).
     val blocks = Iterator.iterate(whiten(a.mult(gaussian(a.cols, kPrime, seed))))(

@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.SparkSpec
 import repro.graph.{Generators, Graph}
-import repro.linalg.{Csr, Dense, DenseMat}
+import repro.linalg.{Csr, Dense}
 import repro.ppr.ExactPPR
 import repro.svd.BKSVD
 
@@ -174,21 +174,51 @@ class BaselinesSpec extends SparkSpec {
     assert(e.x.flatten.forall(v => v >= -1.0 && v <= 1.0)) // tanh range
   }
 
-  // ---- Mat (Csr, DenseMat) and the shared SVD ---------------------------
+  // ---- Csr and the shared SVD -----------------------------------------
 
-  test("Csr mult/multT agree with DenseMat") {
+  /** Whether two blocks hold the same doubles, bit for bit (`Arrays.equals`
+    * compares the `doubleToLongBits` of each entry).
+    */
+  private def sameBits(a: Array[Array[Double]], b: Array[Array[Double]]): Boolean =
+    a.length == b.length && a.indices.forall(i => java.util.Arrays.equals(a(i), b(i)))
+
+  test("Csr mult/multT equal the dense products bit for bit") {
     val rng = new scala.util.Random(5)
     val dense = Array.fill(6, 4)(if (rng.nextDouble() < 0.5) rng.nextGaussian() else 0.0)
     val triples = for (i <- 0 until 6; j <- 0 until 4 if dense(i)(j) != 0.0)
       yield (i, j, dense(i)(j))
-    val sparse = Csr.fromTriples(6, 4, triples.iterator)
     val b = Array.fill(4, 3)(rng.nextGaussian())
     val bT = Array.fill(6, 3)(rng.nextGaussian())
-    val d = DenseMat(dense)
-    val m1 = d.mult(b); val m2 = sparse.mult(b)
-    for (i <- 0 until 6; j <- 0 until 3) assert(math.abs(m1(i)(j) - m2(i)(j)) < 1e-12)
-    val t1 = d.multT(bT); val t2 = sparse.multT(bT)
-    for (i <- 0 until 4; j <- 0 until 3) assert(math.abs(t1(i)(j) - t2(i)(j)) < 1e-12)
+    for (sparse <- Seq(Csr.fromTriples(6, 4, triples.iterator), Csr.fromDense(dense))) {
+      assert(sameBits(sparse.mult(b), Dense.matmul(dense, b)))
+      assert(sameBits(sparse.multT(bT), Dense.matmul(Dense.transpose(dense), bT)))
+    }
+  }
+
+  test("Csr mult/multT reject a block with the wrong row count") {
+    val m = Csr.fromDense(Array(Array(1.0, 0.0, 2.0), Array(0.0, 3.0, 0.0))) // 2×3
+    for (rows <- Seq(2, 4)) {
+      val e = intercept[IllegalArgumentException](m.mult(Array.fill(rows, 1)(1.0)))
+      assert(e.getMessage.contains("2×3") && e.getMessage.contains(s"${rows}×1"), e.getMessage)
+    }
+    for (rows <- Seq(1, 3)) {
+      val e = intercept[IllegalArgumentException](m.multT(Array.fill(rows, 1)(1.0)))
+      assert(e.getMessage.contains("2×3") && e.getMessage.contains(s"${rows}×1"), e.getMessage)
+    }
+  }
+
+  test("Csr.fromDense keeps exactly the non-zeros, columns ascending") {
+    val a = Array(Array(0.0, 2.0, 0.0, -1.0), Array(0.0, 0.0, 0.0, 0.0), Array(5.0, 0.0, -0.0, 7.0))
+    val m = Csr.fromDense(a)
+    assert(m.rows == 3 && m.cols == 4)
+    assert(m.offsets.toSeq == Seq(0, 2, 2, 4)) // the empty row takes no entry, nor does −0.0
+    assert(m.colIdx.toSeq == Seq(1, 3, 0, 3))
+    assert(m.values.toSeq == Seq(2.0, -1.0, 5.0, 7.0))
+    assert(m.entries.toSeq == (for (i <- 0 until 3; j <- 0 until 4 if a(i)(j) != 0.0) yield (i, j)))
+    val empty = Csr.fromDense(Array.empty[Array[Double]])
+    assert(empty.rows == 0 && empty.cols == 0 && empty.nnz == 0)
+    assert(empty.mult(Array.empty[Array[Double]]).isEmpty)
+    intercept[IllegalArgumentException](Csr.fromDense(Array(Array(1.0, 2.0), Array(3.0))))
   }
 
   test("Csr.fromTriples sums duplicate entries") {
@@ -203,7 +233,7 @@ class BaselinesSpec extends SparkSpec {
     val u0 = Array.fill(10, 2)(rng.nextGaussian())
     val v0 = Array.fill(8, 2)(rng.nextGaussian())
     val a = Dense.matmul(u0, Dense.transpose(v0))
-    val BKSVD.Result(u, s, v) = BKSVD(DenseMat(a), 4, q = 4, seed = 33)
+    val BKSVD.Result(u, s, v) = BKSVD(Csr.fromDense(a), 4, q = 4, seed = 33)
     val us = Array.tabulate(10, 4)((i, j) => u(i)(j) * s(j))
     val rec = Dense.matmul(us, Dense.transpose(v))
     for (i <- 0 until 10; j <- 0 until 8)
