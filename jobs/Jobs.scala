@@ -4,31 +4,28 @@ import org.apache.spark.sql.SparkSession
 import repro.bench.Tables
 import scala.collection.immutable.ListMap
 
-/** spark-submit entry point: one argument names the reproduced exhibit
-  * to run, print and gate (DESIGN.md §4); a failed gate throws, so the job
-  * exits non-zero. Example:
+/** Entry point: one argument names the reproduced exhibit to run, print
+  * and gate (DESIGN.md §4); a failed gate throws, so the job exits
+  * non-zero. No exhibit uses Spark, so `main` starts no session. Example:
+  * `sbt "runMain repro.jobs.Jobs t4"`, or
   * `spark-submit --class repro.jobs.Jobs target/scala-2.13/repro_2.13-*.jar t4`
   */
 object Jobs {
-  def session(name: String): SparkSession = {
-    val s = SparkSession.builder()
-      .master(sys.env.getOrElse("SPARK_MASTER", "local[*]"))
-      .appName(name)
-      .getOrCreate()
-    s
-  }
+  /** A session for callers that ingest a DataFrame (nrpbench). */
+  def session(name: String): SparkSession =
+    SparkSession.builder().master(sys.env.getOrElse("SPARK_MASTER", "local[*]")).appName(name).getOrCreate()
 
   /** Table name → runner; `t8` prints both T8 (AUC) and T11 (time). */
-  val tables: ListMap[String, SparkSession => Any] = ListMap(
-    "t1" -> (Tables.table1(_)),
-    "t3" -> (Tables.datasetStats(_)),
-    "t4" -> (Tables.linkPrediction(_)),
-    "t5" -> (Tables.reconstruction(_)),
-    "t6" -> (Tables.classification(_)),
-    "t7" -> (Tables.efficiency(_)),
-    "t8" -> (Tables.paramSweeps(_)),
-    "t9" -> (Tables.evolving(_)),
-    "t10" -> (Tables.scalability(_)))
+  val tables: ListMap[String, () => Any] = ListMap(
+    "t1" -> (() => Tables.table1()),
+    "t3" -> (() => Tables.datasetStats()),
+    "t4" -> (() => Tables.linkPrediction()),
+    "t5" -> (() => Tables.reconstruction()),
+    "t6" -> (() => Tables.classification()),
+    "t7" -> (() => Tables.efficiency()),
+    "t8" -> (() => Tables.paramSweeps()),
+    "t9" -> (() => Tables.evolving()),
+    "t10" -> (() => Tables.scalability()))
 
   def main(args: Array[String]): Unit = {
     val runner = args match {
@@ -37,8 +34,6 @@ object Jobs {
         s"expected one table name, one of ${tables.keys.mkString(", ")}; " +
           s"got '${args.mkString(" ")}'")
     }
-    val spark = session(s"nrp-${args(0)}")
-    try runner(spark)
-    finally spark.stop()
+    runner()
   }
 }

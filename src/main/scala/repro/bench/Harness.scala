@@ -1,6 +1,5 @@
 package repro.bench
 
-import org.apache.spark.sql.SparkSession
 import repro.graph.Generators
 import repro.graph.Generators.LabeledGraph
 
@@ -32,12 +31,12 @@ object Harness {
   def f1(x: Double): String = f"$x%.1f"
 
   /** The small labeled datasets (every task). */
-  def smallDatasets(spark: SparkSession): Seq[(String, LabeledGraph)] = Seq(
-    "wiki-lite" -> Generators.wikiLite(spark),
-    "blog-lite" -> Generators.blogLite(spark))
+  def smallDatasets: Seq[(String, LabeledGraph)] = Seq(
+    "wiki-lite" -> Generators.wikiLite,
+    "blog-lite" -> Generators.blogLite)
 
   /** The medium labeled datasets (LP / classification / stats). */
-  def mediumDatasets(spark: SparkSession): Seq[(String, LabeledGraph)] = Seq(
-    "youtube-lite" -> Generators.youtubeLite(spark),
-    "tweibo-lite" -> Generators.tweiboLite(spark))
+  def mediumDatasets: Seq[(String, LabeledGraph)] = Seq(
+    "youtube-lite" -> Generators.youtubeLite,
+    "tweibo-lite" -> Generators.tweiboLite)
 }

@@ -15,7 +15,7 @@ import repro.ppr.ExactPPR
   */
 object Tables {
 
-  /** Lower Spark shuffle width for the bench-scale iterative jobs. */
+  /** Sets a Spark shuffle width that no job reads; kept for nrpbench's call. */
   def tuneForBench(spark: SparkSession): Unit =
     spark.conf.set("spark.sql.shuffle.partitions", "16")
 
@@ -77,8 +77,8 @@ object Tables {
     "v7" -> Seq(0.036, 0.043, 0.056, 0.043, 0.093, 0.137, 0.29, 0.187, 0.12),
     "v9" -> Seq(0.02, 0.024, 0.031, 0.024, 0.056, 0.083, 0.168, 0.311, 0.282))
 
-  def table1(spark: SparkSession): Map[String, Seq[Double]] = {
-    val g = Generators.example9(spark)
+  def table1(): Map[String, Seq[Double]] = {
+    val g = Generators.example9
     val pi = ExactPPR.ppr(g, alpha = 0.15)
     val rows = Map("v2" -> pi(1), "v4" -> pi(3), "v7" -> pi(6), "v9" -> pi(8))
       .view.mapValues(_.toSeq).toMap
@@ -100,9 +100,9 @@ object Tables {
 
   // ---- T3: Table 3 — dataset statistics --------------------------------
 
-  def datasetStats(spark: SparkSession): Seq[Seq[String]] = {
-    val all = Harness.smallDatasets(spark) ++ Harness.mediumDatasets(spark) ++
-      Seq("twitter-lite" -> Generators.twitterLite(spark))
+  def datasetStats(): Seq[Seq[String]] = {
+    val all = Harness.smallDatasets ++ Harness.mediumDatasets ++
+      Seq("twitter-lite" -> Generators.twitterLite)
     val paper = Map(
       "wiki-lite" -> "Wiki: 4.78K/184.81K directed 40",
       "blog-lite" -> "BlogCatalog: 10.31K/333.98K undirected 39",
@@ -126,7 +126,7 @@ object Tables {
 
   // ---- T4: Fig. 4 — link prediction AUC vs k ---------------------------
 
-  def linkPrediction(spark: SparkSession): Seq[Row[Int]] = {
+  def linkPrediction(): Seq[Row[Int]] = {
     def runOn(dsName: String, g: Graph, methods: Seq[Methods.Spec], ks: Seq[Int]): Seq[Row[Int]] = {
       val s = LinkPrediction.split(g, 0.3, seed = 1)
       for (m <- methods; k <- ks) yield {
@@ -135,9 +135,9 @@ object Tables {
         (dsName, m.name, k, auc)
       }
     }
-    val rows = Harness.smallDatasets(spark).flatMap { case (name, lg) =>
+    val rows = Harness.smallDatasets.flatMap { case (name, lg) =>
       runOn(name, lg.graph, Methods.all, Seq(16, 32, 64))
-    } ++ Harness.mediumDatasets(spark).flatMap { case (name, lg) =>
+    } ++ Harness.mediumDatasets.flatMap { case (name, lg) =>
       // medium graphs: the scalable subset only (as the paper excludes
       // non-scaling methods on its large graphs)
       runOn(name, lg.graph, Seq(Methods.nrp, Methods.arope, Methods.randne), Seq(64))
@@ -158,9 +158,9 @@ object Tables {
 
   // ---- T5: Fig. 5 — graph reconstruction precision@K -------------------
 
-  def reconstruction(spark: SparkSession): Seq[Row[Int]] = {
+  def reconstruction(): Seq[Row[Int]] = {
     val kTop = Seq(10, 100, 1000, 10000)
-    val rows = Harness.smallDatasets(spark).flatMap { case (name, lg) => Methods.all.flatMap { m =>
+    val rows = Harness.smallDatasets.flatMap { case (name, lg) => Methods.all.flatMap { m =>
       val prec = GraphReconstruction.precisionAtK(m.run(lg.graph, 64, seed), lg.graph, kTop)
       Console.err.println(s"[T5] $name ${m.name} " +
         kTop.map(kk => s"p@$kk=${Harness.f3(prec(kk))}").mkString(" "))
@@ -174,8 +174,8 @@ object Tables {
 
   // ---- T6: Fig. 6 — node classification Micro-F1 vs train fraction -----
 
-  def classification(spark: SparkSession): Seq[Row[Double]] = {
-    val rows = Harness.smallDatasets(spark).flatMap { case (name, lg) => Methods.all.flatMap { m =>
+  def classification(): Seq[Row[Double]] = {
+    val rows = Harness.smallDatasets.flatMap { case (name, lg) => Methods.all.flatMap { m =>
       val emb = m.run(lg.graph, 64, seed)
       Console.err.println(s"[T6] $name ${m.name} done")
       Seq(0.1, 0.5, 0.9).map(f =>
@@ -191,18 +191,18 @@ object Tables {
 
   // ---- T7: Fig. 7 — running time vs k ----------------------------------
 
-  def efficiency(spark: SparkSession): Seq[Row[Int]] = {
+  def efficiency(): Seq[Row[Int]] = {
     def time(ds: String, g: Graph, m: Methods.Spec, k: Int): Row[Int] = {
       val (_, secs) = Harness.timed(m.run(g, k, seed))
       Console.err.println(s"[T7] $ds ${m.name} k=$k ${Harness.f1(secs)}s")
       (ds, m.name, k, secs)
     }
-    val (wikiName, wiki) = Harness.smallDatasets(spark).head
+    val (wikiName, wiki) = Harness.smallDatasets.head
     // k = 128, the paper's and NRP.Params' default, for the PPR methods only;
     // the pivot prints "-" in the other methods' k = 128 cells.
     val wikiRows = (for (m <- Methods.all; k <- Seq(16, 32, 64)) yield time(wikiName, wiki.graph, m, k)) ++
       Seq(Methods.nrp, Methods.approxPpr).map(time(wikiName, wiki.graph, _, 128))
-    val big = Generators.twitterLite(spark).graph
+    val big = Generators.twitterLite.graph
     val rows = wikiRows ++ Methods.largeSet.map(time("twitter-lite", big, _, 64))
     report("T7 (Fig. 7): embedding construction time (seconds) vs k", rows)(k => s"sec@k=$k")(checkEfficiency)
   }
@@ -216,9 +216,9 @@ object Tables {
   /** Runs and times every sweep point once at k = 64; returns the T8 rows
     * (dataset/param, "NRP", value, AUC) and the T11 rows with the seconds.
     */
-  def paramSweeps(spark: SparkSession): (Seq[Row[Double]], Seq[Row[Double]]) = {
+  def paramSweeps(): (Seq[Row[Double]], Seq[Row[Double]]) = {
     val params = NRP.Params(k = 64)
-    val points = Harness.smallDatasets(spark).zipWithIndex.flatMap { case ((name, lg), dsIdx) =>
+    val points = Harness.smallDatasets.zipWithIndex.flatMap { case ((name, lg), dsIdx) =>
       val s = LinkPrediction.split(lg.graph, 0.3, seed = 1)
       /** Time one embedding run end to end: (AUC row, seconds row). */
       def point(param: String, value: Double)(run: => Emb): (Row[Double], Row[Double]) = {
@@ -266,8 +266,8 @@ object Tables {
 
   // ---- T9: Fig. 9 / Table 4 — evolving-graph link prediction -----------
 
-  def evolving(spark: SparkSession): Seq[Row[String]] = {
-    val datasets = Seq("vk-lite" -> Generators.vkLite(spark), "digg-lite" -> Generators.diggLite(spark))
+  def evolving(): Seq[Row[String]] = {
+    val datasets = Seq("vk-lite" -> Generators.vkLite, "digg-lite" -> Generators.diggLite)
     val rows = datasets.flatMap { case (name, ev) =>
       val pos = ev.newEdges
       val split = LinkPrediction.Split(ev.old, pos, LinkPrediction.sampleNonEdges(ev.full, pos.length, seed = 5))
@@ -286,9 +286,9 @@ object Tables {
   // ---- T10: Fig. 10 — scalability on Erdős–Rényi graphs ----------------
 
   /** Rows (vary-n, NRP, n, seconds) at m = 2·10⁵ and (vary-m, NRP, m, seconds) at n = 2·10⁴. */
-  def scalability(spark: SparkSession): Seq[Row[Long]] = {
+  def scalability(): Seq[Row[Long]] = {
     def point(kind: String, x: Long, n: Long, m: Long, graphSeed: Long): Row[Long] = {
-      val g = Generators.erdosRenyi(spark, n, m, directed = true, seed = graphSeed)
+      val g = Generators.erdosRenyi(n, m, directed = true, seed = graphSeed)
       val (_, secs) = Harness.timed(NRP(g, NRP.Params(k = 32)))
       Console.err.println(s"[T10] n=$n m=$m ${Harness.f1(secs)}s")
       (kind, "NRP", x, secs)

@@ -24,7 +24,9 @@ object ApproxPPR {
 
   def apply(g: Graph, kPrime: Int, alpha: Double = 0.15, l1: Int = 20,
             eps: Double = 0.2, seed: Long = 20): LocalEmb = {
-    require(l1 >= 1, s"l1 must be >= 1, got $l1")
+    require(alpha > 0 && alpha < 1, s"alpha = $alpha is outside (0, 1)")
+    require(l1 >= 1, s"l1 = $l1 is below 1")
+    require(eps > 0 && !eps.isInfinite, s"eps = $eps is not a finite value above 0")
     val svd = BKSVD(g, kPrime, eps, seed)
     val sqrtSigma = svd.sigma.map(math.sqrt)
     val inv = g.invOutDeg

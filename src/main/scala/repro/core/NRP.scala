@@ -30,6 +30,7 @@ object NRP {
                           weights: NodeWeights.Weights)
 
   def apply(g: Graph, params: Params = Params()): Result = {
+    require(params.k >= 1, s"k = ${params.k} is below 1")
     val kPrime = math.max(1, params.k / 2)
     val emb = ApproxPPR(g, kPrime, params.alpha, params.l1, params.eps, params.seed)
     reweight(g, emb.x, emb.y, params)
@@ -40,6 +41,9 @@ object NRP {
     */
   def reweight(g: Graph, x0: Array[Array[Double]], y0: Array[Array[Double]],
                params: Params): Result = {
+    require(params.l2 >= 0, s"l2 = ${params.l2} is negative")
+    require(params.lambda >= 0 && !params.lambda.isInfinite,
+      s"lambda = ${params.lambda} is negative or not finite")
     val n = g.n.toInt
     val x = x0.map(_.clone())
     val y = y0.map(_.clone())

@@ -2,13 +2,13 @@ package repro.graph
 
 import java.util.stream.IntStream
 import org.apache.spark.sql.SparkSession
+import scala.annotation.unused
 
 /** Synthetic graph generators — the dataset substitutes for the paper's
   * real-world graphs (see DESIGN.md §3). They run on the driver and start
   * no Spark job: draw k of edge i is [[uniform]]`(seed + k, i)`, a
   * counter-based hash of (stream, index), so a graph is a pure function of
   * its parameters and seed, whatever the core count or thread schedule.
-  * Their `spark` parameter is unused.
   */
 object Generators {
 
@@ -25,7 +25,7 @@ object Generators {
     (0L, 1L), (1L, 2L), (1L, 4L), (0L, 3L), (2L, 3L), (3L, 4L),
     (0L, 2L), (2L, 4L), (4L, 5L), (5L, 6L), (6L, 7L), (7L, 8L))
 
-  def example9(spark: SparkSession): Graph =
+  def example9: Graph =
     Graph.fromPairs(9, example9Edges.map(_._1.toInt).toArray, example9Edges.map(_._2.toInt).toArray,
       example9Edges.length, directed = false)
 
@@ -48,13 +48,17 @@ object Generators {
     * its community). `avgDeg` controls edge volume before dedup. For
     * undirected graphs both orientations are added by [[Graph.fromPairs]].
     */
-  def dcsbm(spark: SparkSession, n: Long, avgDeg: Double, numLabels: Int,
-            mu: Double = 0.7, alpha: Double = 2.2, directed: Boolean = true,
-            seed: Long = 42): LabeledGraph = {
+  def dcsbm(n: Long, avgDeg: Double, numLabels: Int, mu: Double = 0.7, alpha: Double = 2.2,
+            directed: Boolean = true, seed: Long = 42): LabeledGraph = {
     val (src, dst, count) = dcsbmPairs(n, avgDeg, numLabels, mu, alpha, seed)
     val labels = Array.tabulate(n.toInt)(i => communityOf(i, numLabels))
     LabeledGraph(Graph.fromPairs(n.toInt, src, dst, count, directed), labels, numLabels)
   }
+
+  /** [[dcsbm]] for nrpbench's call, which still passes a session; `spark` is unused. */
+  def dcsbm(@unused spark: SparkSession, n: Long, avgDeg: Double, numLabels: Int,
+            directed: Boolean, seed: Long): LabeledGraph =
+    dcsbm(n, avgDeg, numLabels, directed = directed, seed = seed)
 
   /** The raw edges of [[dcsbm]], self-loops and duplicates included: the
     * first `count` entries of (src, dst). Edge i draws its source with
@@ -98,8 +102,7 @@ object Generators {
     * generator family the paper uses for its own scalability test (Fig. 10).
     * Edge i's endpoints are draws i of streams `seed` and `seed + 1`.
     */
-  def erdosRenyi(spark: SparkSession, n: Long, nEdges: Long,
-                 directed: Boolean = true, seed: Long = 7): Graph = {
+  def erdosRenyi(n: Long, nEdges: Long, directed: Boolean = true, seed: Long = 7): Graph = {
     Graph.checkNodeCount(n)
     require(nEdges >= 0 && nEdges <= Int.MaxValue, s"nEdges = $nEdges is outside [0, Int.MaxValue]")
     val (src, dst) = (new Array[Int](nEdges.toInt), new Array[Int](nEdges.toInt))
@@ -120,9 +123,9 @@ object Generators {
     */
   final case class EvolvingGraph(old: Graph, newEdges: Array[(Int, Int)], full: Graph)
 
-  def evolving(spark: SparkSession, n: Long, avgDeg: Double, numLabels: Int,
-               oldFrac: Double = 0.6, directed: Boolean = true, seed: Long = 11): EvolvingGraph =
-    cut(dcsbm(spark, n, avgDeg, numLabels, directed = directed, seed = seed).graph, oldFrac)
+  def evolving(n: Long, avgDeg: Double, numLabels: Int, oldFrac: Double = 0.6,
+               directed: Boolean = true, seed: Long = 11): EvolvingGraph =
+    cut(dcsbm(n, avgDeg, numLabels, directed = directed, seed = seed).graph, oldFrac)
 
   /** Split `full` into old and new edges on the driver: an edge (u, v) is
     * old when its bucket, Spark SQL's
@@ -139,12 +142,12 @@ object Generators {
   }
 
   /** vk-lite: undirected evolving graph (synthetic stand-in for VK). */
-  def vkLite(spark: SparkSession): EvolvingGraph =
-    evolving(spark, n = 8000, avgDeg = 12, numLabels = 10, directed = false, seed = 106)
+  def vkLite: EvolvingGraph =
+    evolving(n = 8000, avgDeg = 12, numLabels = 10, directed = false, seed = 106)
 
   /** digg-lite: directed evolving graph (synthetic stand-in for Digg). */
-  def diggLite(spark: SparkSession): EvolvingGraph =
-    evolving(spark, n = 8000, avgDeg = 6, numLabels = 10, directed = true, seed = 107)
+  def diggLite: EvolvingGraph =
+    evolving(n = 8000, avgDeg = 6, numLabels = 10, directed = true, seed = 107)
 
   /** Power-law node pick: inverse-CDF of a *shifted* Pareto (x_min = 25)
     * over ranks, tail exponent 1 + 1/`beta`, at the uniform draw `u`,
@@ -184,24 +187,24 @@ object Generators {
   // ---- Named dataset substitutes (DESIGN.md §3) ------------------------
 
   /** wiki-lite: directed DC-SBM, n=3 000, m=39 053 directed edges, 8 labels. */
-  def wikiLite(spark: SparkSession): LabeledGraph =
-    dcsbm(spark, n = 3000, avgDeg = 20, numLabels = 8, directed = true, seed = 101)
+  def wikiLite: LabeledGraph =
+    dcsbm(n = 3000, avgDeg = 20, numLabels = 8, directed = true, seed = 101)
 
   /** blog-lite: undirected DC-SBM, n=4 000, m=61 424 directed-pair edges
     * (30 712 undirected), 8 labels.
     */
-  def blogLite(spark: SparkSession): LabeledGraph =
-    dcsbm(spark, n = 4000, avgDeg = 10, numLabels = 8, directed = false, seed = 102)
+  def blogLite: LabeledGraph =
+    dcsbm(n = 4000, avgDeg = 10, numLabels = 8, directed = false, seed = 102)
 
   /** youtube-lite: sparse undirected DC-SBM, n=30 000, m=118 216 (avg degree ≈ 4). */
-  def youtubeLite(spark: SparkSession): LabeledGraph =
-    dcsbm(spark, n = 30000, avgDeg = 2, numLabels = 10, directed = false, seed = 103)
+  def youtubeLite: LabeledGraph =
+    dcsbm(n = 30000, avgDeg = 2, numLabels = 10, directed = false, seed = 103)
 
   /** tweibo-lite: directed DC-SBM, n=30 000, m=203 355 (avg out-degree ≈ 7). */
-  def tweiboLite(spark: SparkSession): LabeledGraph =
-    dcsbm(spark, n = 30000, avgDeg = 10, numLabels = 10, directed = true, seed = 104)
+  def tweiboLite: LabeledGraph =
+    dcsbm(n = 30000, avgDeg = 10, numLabels = 10, directed = true, seed = 104)
 
   /** twitter-lite: the largest graph in the suite (efficiency bench), n=50 000, m=330 138. */
-  def twitterLite(spark: SparkSession): LabeledGraph =
-    dcsbm(spark, n = 50000, avgDeg = 10, numLabels = 10, directed = true, seed = 105)
+  def twitterLite: LabeledGraph =
+    dcsbm(n = 50000, avgDeg = 10, numLabels = 10, directed = true, seed = 105)
 }

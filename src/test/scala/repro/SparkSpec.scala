@@ -9,7 +9,10 @@ import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.Graph
 import repro.linalg.Csr
 
-/** Base for every test: one local-mode SparkSession for the whole run.
+/** Base for the suites that ingest edges through Spark or cross-check a
+  * result with Spark SQL: one local-mode SparkSession for the whole run.
+  * Suites that need neither extend `AnyFunSuite` and build their graphs
+  * without Spark.
   *
   * Driver heap is set via ``Test / javaOptions`` in build.sbt from
   * SPARK_DRIVER_MEM (the image exports it, or derives ~75% of the cgroup

@@ -1,16 +1,17 @@
 package repro.baselines
 
-import repro.SparkSpec
-import repro.graph.{Generators, Graph}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.graph
+import repro.graph.Generators
 import repro.linalg.{Csr, Dense}
 import repro.ppr.ExactPPR
 import repro.svd.BKSVD
 
 /** Shape/semantics tests for every reimplemented baseline. */
-class BaselinesSpec extends SparkSpec {
+class BaselinesSpec extends AnyFunSuite {
 
-  private lazy val g9 = Generators.example9(spark)
-  private lazy val sbm = Generators.dcsbm(spark, n = 150, avgDeg = 5, numLabels = 3, seed = 51).graph
+  private lazy val g9 = Generators.example9
+  private lazy val sbm = Generators.dcsbm(n = 150, avgDeg = 5, numLabels = 3, seed = 51).graph
 
   private def finite(e: Emb): Unit = {
     assert(e.x.flatten.forall(v => !v.isNaN && !v.isInfinite))
@@ -38,14 +39,14 @@ class BaselinesSpec extends SparkSpec {
   test("AROPE recovers signed eigenvalues (path graph has negative modes)") {
     // P2 path: eigenvalues ±1; with f(λ)=λ the score must reproduce A,
     // which requires a correctly recovered negative eigenvalue.
-    val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 2, directed = false)
+    val g = graph(2, directed = false, (0, 1))
     val e = AROPE(g, k = 2, weights = Array(1.0))
     assert(math.abs(e.score(0, 1) - 1.0) < 1e-6)
     assert(math.abs(e.score(0, 0)) < 1e-6)
   }
 
   test("symmetrized view of a directed graph contains both orientations") {
-    val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 2, directed = true)
+    val g = graph(2, directed = true, (0, 1))
     val sym = g.symmetrized
     assert(sym.m == 2)
   }
@@ -59,7 +60,7 @@ class BaselinesSpec extends SparkSpec {
     // E·Eᵀ approximates a damped adjacency polynomial: edges should score
     // above the all-pairs average.
     val n = sbm.n.toInt
-    val edges = sbm.edges.collect().map(r => (r.getLong(0).toInt, r.getLong(1).toInt))
+    val edges = sbm.adjacency.entries.toArray
     val edgeAvg = edges.map { case (u, v) => e.score(u, v) }.sum / edges.length
     val rng = new scala.util.Random(3)
     val rand = Seq.fill(2000)((rng.nextInt(n), rng.nextInt(n)))
@@ -103,7 +104,7 @@ class BaselinesSpec extends SparkSpec {
   test("NetMF matrix entries match the closed form on a tiny graph") {
     // triangle graph: P = (J−I)/2, P² = (J+I)/4, S = (3J−I)/4,
     // M = vol/(bT)·S·D⁻¹ = 6/2 · S · 1/2 = 1.5·S, M′ = log max(1, M).
-    val g = Graph.fromLocal(spark, Seq((0L, 1L), (1L, 2L), (0L, 2L)), n = 3, directed = false)
+    val g = graph(3, directed = false, (0, 1), (1, 2), (0, 2))
     val m = NetMF.matrix(g, windowT = 2, negB = 1.0)
     for (u <- 0 until 3; v <- 0 until 3) {
       // off-diag: M = 3·(3/4)·(1/2) = 1.125 → log(1.125); diag: 0.75 → clipped to 0

@@ -1,6 +1,6 @@
 package repro.core
 
-import repro.SparkSpec
+import org.scalatest.funsuite.AnyFunSuite
 import repro.graph.Generators
 import repro.linalg.Dense
 
@@ -8,9 +8,9 @@ import repro.linalg.Dense
   * reweighting flips the counter-intuitive PPR ordering of (v₂,v₄) vs
   * (v₉,v₇) on the Fig.-1 graph.
   */
-class NRPSpec extends SparkSpec {
+class NRPSpec extends AnyFunSuite {
 
-  private lazy val g9 = Generators.example9(spark)
+  private lazy val g9 = Generators.example9
   private lazy val nrp9 = NRP(g9, NRP.Params(k = 8, l2 = 10, lambda = 0.0))
 
   test("embeddings have dimensionality k/2 each and are finite") {
@@ -75,8 +75,36 @@ class NRPSpec extends SparkSpec {
     }
   }
 
+  test("ApproxPPR and NRP reject out-of-range parameters naming the value") {
+    val p = NRP.Params(k = 8)
+    def approx(alpha: Double = 0.15, l1: Int = 20, eps: Double = 0.2) = ApproxPPR(g9, 4, alpha, l1, eps)
+    def reweight(q: NRP.Params) = NRP.reweight(g9, Array.fill(9, 4)(0.1), Array.fill(9, 4)(0.1), q)
+    val bad = Seq[(String, () => Any)](
+      "alpha = 0.0" -> (() => approx(alpha = 0.0)),
+      "alpha = 1.0" -> (() => approx(alpha = 1.0)),
+      "alpha = -0.5" -> (() => approx(alpha = -0.5)),
+      "alpha = NaN" -> (() => approx(alpha = Double.NaN)),
+      "l1 = 0" -> (() => approx(l1 = 0)),
+      "eps = 0.0" -> (() => approx(eps = 0.0)),
+      "eps = -0.2" -> (() => approx(eps = -0.2)),
+      "eps = NaN" -> (() => approx(eps = Double.NaN)),
+      "eps = Infinity" -> (() => approx(eps = Double.PositiveInfinity)),
+      "l2 = -1" -> (() => reweight(p.copy(l2 = -1))),
+      "lambda = -1.0" -> (() => reweight(p.copy(lambda = -1))),
+      "lambda = NaN" -> (() => reweight(p.copy(lambda = Double.NaN))),
+      "lambda = Infinity" -> (() => reweight(p.copy(lambda = Double.PositiveInfinity))),
+      "k = 0" -> (() => NRP(g9, p.copy(k = 0))),
+      "k = -2" -> (() => NRP(g9, p.copy(k = -2))),
+      "alpha = 1.5" -> (() => NRP(g9, p.copy(alpha = 1.5))),
+      "eps = 0.0" -> (() => NRP(g9, p.copy(eps = 0.0))))
+    for ((value, run) <- bad) {
+      val e = intercept[IllegalArgumentException](run())
+      assert(e.getMessage.contains(value), e.getMessage)
+    }
+  }
+
   test("NRP runs on a directed DC-SBM graph and stays finite") {
-    val g = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
+    val g = Generators.dcsbm(n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
     val r = NRP(g, NRP.Params(k = 16, l1 = 10, l2 = 3))
     assert(r.x.length == 120)
     assert(r.x.flatten.forall(v => !v.isNaN && !v.isInfinite))

@@ -22,7 +22,7 @@ class GraphReconstructionSpec extends SparkSpec {
   }
 
   test("an adjacency-oracle embedding reconstructs perfectly") {
-    val g = Generators.example9(spark)
+    val g = Generators.example9
     // adjacency rows as embeddings: score(u,v) = A[u,:]·A[v,:]… not exact.
     // Use the exact PPR matrix rows against indicator columns instead:
     // x(u) = Π row u, y(v) = e_v → score = π(u,v), whose top pairs on this
@@ -38,7 +38,7 @@ class GraphReconstructionSpec extends SparkSpec {
   }
 
   test("precision@K matches a DuckDB top-K computed on the same scores") {
-    val g = Generators.example9(spark)
+    val g = Generators.example9
     val rng = new scala.util.Random(8)
     val x = Array.fill(9, 4)(rng.nextGaussian())
     val emb = Emb(x, x)

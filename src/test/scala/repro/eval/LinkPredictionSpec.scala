@@ -13,8 +13,8 @@ import repro.graph.{Generators, Graph}
   */
 class LinkPredictionSpec extends SparkSpec {
 
-  private lazy val sbm = Generators.dcsbm(spark, n = 300, avgDeg = 5, numLabels = 3, seed = 61).graph
-  private lazy val und = Generators.dcsbm(spark, n = 300, avgDeg = 4, numLabels = 3,
+  private lazy val sbm = Generators.dcsbm(n = 300, avgDeg = 5, numLabels = 3, seed = 61).graph
+  private lazy val und = Generators.dcsbm(n = 300, avgDeg = 4, numLabels = 3,
     directed = false, seed = 62).graph
 
   /** Spark-SQL AUC over a (score, label) DataFrame, cross-checked against

@@ -13,7 +13,7 @@ import scala.util.Random
   */
 class GraphSpec extends SparkSpec {
 
-  private def exampleGraph: Graph = Generators.example9(spark)
+  private def exampleGraph: Graph = Generators.example9
 
   /** Degree table (id, deg) of the `endpoint` column, as a Spark query. */
   private def degreeDf(g: Graph, endpoint: String): DataFrame =
@@ -150,13 +150,13 @@ class GraphSpec extends SparkSpec {
 
   test("building a graph caches nothing") {
     val before = CachedEntries(spark)
-    Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 113)
+    Generators.dcsbm(n = 200, avgDeg = 4, numLabels = 2, seed = 113)
     assert(CachedEntries(spark) == before, s"ingest cached ${CachedEntries(spark) - before} new results")
   }
 
   test("reverse and symmetrized equal the Spark ingest of the swapped and unioned edges, array by array") {
     val graphs = Seq(
-      "directed dcsbm" -> Generators.dcsbm(spark, n = 300, avgDeg = 5, numLabels = 3, seed = 114).graph,
+      "directed dcsbm" -> Generators.dcsbm(n = 300, avgDeg = 5, numLabels = 3, seed = 114).graph,
       "example9" -> exampleGraph,
       "edgeless n = 5" -> Graph.fromLocal(spark, Seq.empty[(Long, Long)], n = 5, directed = true))
     for ((name, g) <- graphs) {
@@ -170,7 +170,7 @@ class GraphSpec extends SparkSpec {
   }
 
   test("reverse, symmetrized, the split, the evolving cut and the dense adjacency run no Spark job") {
-    val g = Generators.dcsbm(spark, n = 200, avgDeg = 4, numLabels = 2, seed = 115).graph
+    val g = Generators.dcsbm(n = 200, avgDeg = 4, numLabels = 2, seed = 115).graph
     val ops = Seq[(String, () => Any)](
       "reverse" -> (() => g.reverse.adjacency),
       "symmetrized" -> (() => g.symmetrized.adjacency),

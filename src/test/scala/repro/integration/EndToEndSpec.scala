@@ -12,7 +12,7 @@ import repro.graph.{Generators, Graph}
   */
 class EndToEndSpec extends SparkSpec {
 
-  private lazy val sbm = Generators.dcsbm(spark, n = 400, avgDeg = 8, numLabels = 4,
+  private lazy val sbm = Generators.dcsbm(n = 400, avgDeg = 8, numLabels = 4,
     directed = true, seed = 81)
   private lazy val split = LinkPrediction.split(sbm.graph, 0.3, seed = 1)
   private lazy val nrpEmb: Emb = {
@@ -58,7 +58,7 @@ class EndToEndSpec extends SparkSpec {
 
   test("embeddings are bit-identical however the edge DataFrame is partitioned") {
     import spark.implicits._
-    val edges = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
+    val edges = Generators.dcsbm(n = 120, avgDeg = 4, numLabels = 3, seed = 41).graph
       .edges.as[(Long, Long)].collect().toSeq
     def run(partitions: Int): Seq[Array[Array[Double]]] = {
       val g = Graph.fromEdges(edges.toDF("src", "dst").repartition(partitions), 120, directed = true)
@@ -72,7 +72,7 @@ class EndToEndSpec extends SparkSpec {
   }
 
   test("method registry: every method produces usable embeddings on a tiny graph") {
-    val g = Generators.dcsbm(spark, n = 60, avgDeg = 4, numLabels = 3, seed = 91).graph
+    val g = Generators.dcsbm(n = 60, avgDeg = 4, numLabels = 3, seed = 91).graph
     for (m <- Methods.all) {
       val emb = m.run(g, 8, 20L)
       assert(emb.x.length == 60, s"${m.name} row count")

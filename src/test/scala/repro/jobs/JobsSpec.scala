@@ -2,9 +2,9 @@ package repro.jobs
 
 import repro.SparkSpec
 
-/** The spark-submit dispatcher: table names, argument checking (no Spark
-  * session is started for a rejected argument list) and one exhibit run
-  * end to end through its gate.
+/** The exhibit dispatcher: table names, argument checking and one exhibit
+  * run end to end through its gate, by `main` too, which starts no Spark
+  * job and leaves the running session alone.
   */
 class JobsSpec extends SparkSpec {
 
@@ -22,7 +22,13 @@ class JobsSpec extends SparkSpec {
   }
 
   test("t1 runs, prints and passes its gate") {
-    val rows = Jobs.tables("t1")(spark).asInstanceOf[Map[String, Seq[Double]]]
+    val rows = Jobs.tables("t1")().asInstanceOf[Map[String, Seq[Double]]]
     assert(rows.keySet == Set("v2", "v4", "v7", "v9"))
+  }
+
+  test("main runs t1 without a Spark job and does not stop the session") {
+    val jobs = jobsDuring("main t1")(Jobs.main(Array("t1")))
+    assert(jobs == 0, s"$jobs Spark jobs ran in Jobs.main")
+    assert(!spark.sparkContext.isStopped, "Jobs.main stopped the running SparkSession")
   }
 }

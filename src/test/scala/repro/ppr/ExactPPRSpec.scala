@@ -1,14 +1,15 @@
 package repro.ppr
 
-import repro.SparkSpec
-import repro.graph.{Generators, Graph}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.graph
+import repro.graph.Generators
 
 /** Exact-PPR oracle tests, including the full numeric reproduction of the
   * paper's Table 1 on the reverse-engineered Fig.-1 graph.
   */
-class ExactPPRSpec extends SparkSpec {
+class ExactPPRSpec extends AnyFunSuite {
 
-  private lazy val g9 = Generators.example9(spark)
+  private lazy val g9 = Generators.example9
   private lazy val pi9 = ExactPPR.ppr(g9, alpha = 0.15)
 
   test("PPR rows sum to 1 on a dangling-free graph") {
@@ -70,7 +71,7 @@ class ExactPPRSpec extends SparkSpec {
   }
 
   test("dangling node loses walk mass (rows sum below 1)") {
-    val g = Graph.fromLocal(spark, Seq((0L, 1L), (1L, 2L)), n = 3, directed = true)
+    val g = graph(3, directed = true, (0, 1), (1, 2))
     val pi = ExactPPR.ppr(g, 0.15)
     // node 2 is dangling: a walk there stops after the α-termination draw,
     // so only the order-0 term survives in its row.
@@ -80,7 +81,7 @@ class ExactPPRSpec extends SparkSpec {
   }
 
   test("directed PPR is asymmetric") {
-    val g = Graph.fromLocal(spark, Seq((0L, 1L), (1L, 2L), (2L, 0L)), n = 3, directed = true)
+    val g = graph(3, directed = true, (0, 1), (1, 2), (2, 0))
     val pi = ExactPPR.ppr(g, 0.15)
     assert(math.abs(pi(0)(1) - pi(1)(0)) > 1e-3)
   }

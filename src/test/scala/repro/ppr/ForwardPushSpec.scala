@@ -1,12 +1,13 @@
 package repro.ppr
 
-import repro.SparkSpec
-import repro.graph.{Generators, Graph}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.graph
+import repro.graph.Generators
 
 /** Forward-push approximate PPR (the STRAP substrate) vs the exact oracle. */
-class ForwardPushSpec extends SparkSpec {
+class ForwardPushSpec extends AnyFunSuite {
 
-  private lazy val g9 = Generators.example9(spark)
+  private lazy val g9 = Generators.example9
 
   test("csr reproduces degrees and neighbor sets") {
     val c = g9.adjacency
@@ -53,7 +54,7 @@ class ForwardPushSpec extends SparkSpec {
   }
 
   test("push handles dangling nodes without losing termination") {
-    val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 2, directed = true)
+    val g = graph(2, directed = true, (0, 1))
     val c = g.adjacency
     val p = ForwardPush.push(c, 0, 0.15, 1e-8)
     val exact = ExactPPR.ppr(g, 0.15)
@@ -62,7 +63,7 @@ class ForwardPushSpec extends SparkSpec {
   }
 
   test("push on a larger random graph stays within the additive bound") {
-    val g = Generators.dcsbm(spark, n = 120, avgDeg = 4, numLabels = 3, seed = 21).graph
+    val g = Generators.dcsbm(n = 120, avgDeg = 4, numLabels = 3, seed = 21).graph
     val exact = ExactPPR.ppr(g, 0.15)
     val c = g.adjacency
     val rmax = 1e-5

@@ -1,12 +1,13 @@
 package repro.svd
 
-import repro.SparkSpec
-import repro.graph.{Generators, Graph}
+import org.scalatest.funsuite.AnyFunSuite
+import repro.TestGraphs.graph
+import repro.graph.Generators
 import repro.linalg.{Dense, Jacobi}
 import repro.ppr.ExactPPR
 
 /** Block-Krylov SVD vs the exact local SVD oracle. */
-class BKSVDSpec extends SparkSpec {
+class BKSVDSpec extends AnyFunSuite {
 
   private def orthonormal(m: Array[Array[Double]], tol: Double = 1e-6): Unit = {
     val g = Dense.gram(m)
@@ -39,7 +40,7 @@ class BKSVDSpec extends SparkSpec {
   }
 
   test("singular values match the exact SVD on the example graph") {
-    val g = Generators.example9(spark)
+    val g = Generators.example9
     val exact = Jacobi.svdSmall(ExactPPR.adjacency(g))._2
     val got = BKSVD(g, kPrime = 4, eps = 0.1).sigma
     for (j <- 0 until 4)
@@ -48,14 +49,14 @@ class BKSVDSpec extends SparkSpec {
   }
 
   test("U and V have orthonormal columns") {
-    val g = Generators.dcsbm(spark, n = 150, avgDeg = 5, numLabels = 3, seed = 11).graph
+    val g = Generators.dcsbm(n = 150, avgDeg = 5, numLabels = 3, seed = 11).graph
     val r = BKSVD(g, kPrime = 8, eps = 0.2)
     orthonormal(r.u, 1e-5)
     orthonormal(r.v, 1e-5)
   }
 
   test("UΣVᵀ reconstructs A within the (1+eps)·sigma_{k+1} spectral bound") {
-    val g = Generators.dcsbm(spark, n = 100, avgDeg = 4, numLabels = 2, seed = 12).graph
+    val g = Generators.dcsbm(n = 100, avgDeg = 4, numLabels = 2, seed = 12).graph
     val kP = 10
     val a = ExactPPR.adjacency(g)
     val exactSigma = Jacobi.svdSmall(a)._2
@@ -73,8 +74,8 @@ class BKSVDSpec extends SparkSpec {
 
   test("exactly-low-rank matrices are recovered (almost) exactly") {
     // a disjoint union of complete bipartite stars has low-rank adjacency
-    val edges = for (u <- 0L until 5L; v <- 5L until 10L) yield (u, v)
-    val g = Graph.fromLocal(spark, edges, n = 10, directed = false)
+    val edges = for (u <- 0 until 5; v <- 5 until 10) yield (u, v)
+    val g = graph(10, directed = false, edges: _*)
     val a = ExactPPR.adjacency(g)
     val r = BKSVD(g, kPrime = 2, eps = 0.1)
     val (u, v) = (r.u, r.v)
@@ -85,7 +86,7 @@ class BKSVDSpec extends SparkSpec {
   }
 
   test("sigma is padded with zeros when rank < kPrime") {
-    val g = Graph.fromLocal(spark, Seq((0L, 1L)), n = 4, directed = false)
+    val g = graph(4, directed = false, (0, 1))
     val r = BKSVD(g, kPrime = 3, eps = 0.2)
     assert(r.sigma.length == 3)
     assert(r.sigma(0) > 0.9) // the single edge has singular value 1
@@ -97,7 +98,7 @@ class BKSVDSpec extends SparkSpec {
     assert(m.length == n && m.forall(r => r.length == k && r.forall(v => !v.isNaN && !v.isInfinite)))
 
   test("kPrime > n returns finite n×kPrime factors with sigma zero-padded") {
-    val g = Generators.example9(spark)
+    val g = Generators.example9
     val r = BKSVD(g, kPrime = 12, eps = 0.2)
     finiteShape(r.u, 9, 12); finiteShape(r.v, 9, 12)
     val exact = Jacobi.svdSmall(ExactPPR.adjacency(g))._2
@@ -106,7 +107,7 @@ class BKSVDSpec extends SparkSpec {
   }
 
   test("an edgeless graph gives zero sigma and finite zero factors") {
-    val g = Graph.fromLocal(spark, Seq.empty[(Long, Long)], n = 5, directed = true)
+    val g = graph(5, directed = true)
     val r = BKSVD(g, kPrime = 3, eps = 0.2)
     assert(r.sigma.toSeq == Seq(0.0, 0.0, 0.0))
     finiteShape(r.u, 5, 3); finiteShape(r.v, 5, 3)
@@ -114,7 +115,7 @@ class BKSVDSpec extends SparkSpec {
   }
 
   test("result is deterministic in the seed") {
-    val g = Generators.example9(spark)
+    val g = Generators.example9
     val a = BKSVD(g, 3, 0.2, seed = 5)
     val b = BKSVD(g, 3, 0.2, seed = 5)
     assert(a.sigma.toSeq == b.sigma.toSeq)
